@@ -1089,18 +1089,23 @@ let sparse_point ~label circuit guess =
   Array.iteri
     (fun i nm -> match guess nm with Some v -> x.(i) <- v | None -> ())
     (Sim.Indexing.node_names idx);
+  (* the kernel system stamps into the domain's workspace [ws] *)
+  let dsys = Sim.Stamps.system Sim.Stamps.Kernel idx prog in
+  Sim.Stamps.run kind dsys (Sim.Stamps.iterate dsys x) ~gmin:1e-12 ~alpha:1.0;
   let ws = Linalg.Ws.real n in
-  let dctx = Sim.Stamps.make_ws idx ws x in
-  Sim.Stamps.run kind prog dctx ~gmin:1e-12 ~alpha:1.0;
   let template = Linalg.Dense_f.create n n in
   Linalg.Dense_f.blit ~src:ws.Linalg.Ws.jac ~dst:template;
-  let pat = Sim.Stamps.dc_pattern idx prog in
-  let sp = Sim.Stamps.compile_slots pat idx prog in
-  let sm = Sim.Stamps.smat_of_pattern pat in
-  let sctx =
-    Sim.Stamps.make_sparse idx sm ~f:(Linalg.Ws.sparse_real n).Linalg.Ws.srhs x
+  let pat = Sim.Stamps.pattern idx prog in
+  (* stamped through a natural-order system, so the min-degree analysis
+     timed below is still uncached *)
+  let ssys = Sim.Stamps.system (Sim.Stamps.Sparse Linalg.Sparse.Natural) idx prog in
+  let sctx = Sim.Stamps.iterate ssys x in
+  Sim.Stamps.run kind ssys sctx ~gmin:1e-12 ~alpha:1.0;
+  let sm =
+    match sctx.Sim.Stamps.jac with
+    | Sim.Stamps.Csr sm -> sm
+    | Sim.Stamps.Unboxed _ | Sim.Stamps.Boxed _ -> assert false
   in
-  Sim.Stamps.run_sparse kind sp sctx ~gmin:1e-12 ~alpha:1.0;
   (* symbolic analyses: the first build is the real (uncached) cost *)
   let sym_md, symbolic_s =
     time_once (fun () ->

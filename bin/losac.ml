@@ -408,9 +408,8 @@ let size_cmd =
   let run proc kind spec topology =
     let tb_and_print amp pp_design =
       pp_design ();
-      let tb = Comdiac.Testbench.make ~proc ~kind ~spec amp in
       Format.printf "@.measured performance:@.%a@." Comdiac.Performance.pp
-        (Comdiac.Testbench.performance tb)
+        (Comdiac.Testbench.measure ~proc ~kind ~spec amp)
     in
     let parasitics = Comdiac.Parasitics.single_fold in
     match topology with

@@ -208,16 +208,14 @@ let run ?(options = Layout_bridge.default_options) ?ctx ?proc ~kind ~spec case
       (fun () ->
         Layout_bridge.call_layout ~mode:Plan.Generation proc design options)
   in
-  let tb_synth = Comdiac.Testbench.make ~proc ~kind ~spec design.FC.amp in
   let synthesized =
     Obs.Trace.with_span ~cat:"flow" "flow.verify_synthesized" (fun () ->
-      Comdiac.Testbench.performance tb_synth)
+      Comdiac.Testbench.measure ~proc ~kind ~spec design.FC.amp)
   in
   let amp_ext = extracted_amp proc design report in
-  let tb_ext = Comdiac.Testbench.make ~proc ~kind ~spec amp_ext in
   let extracted =
     Obs.Trace.with_span ~cat:"flow" "flow.verify_extracted" (fun () ->
-      Comdiac.Testbench.performance tb_ext)
+      Comdiac.Testbench.measure ~proc ~kind ~spec amp_ext)
   in
   if (Obs.Config.enabled ()) then begin
     Obs.Metrics.add "flow.layout_calls" (float_of_int !layout_calls);

@@ -47,8 +47,7 @@ let run ?(options = Layout_bridge.default_options) ?(max_iterations = 8) ~proc
     in
     let amp_ext = Flow.extracted_amp proc design report in
     incr sims;
-    let tb = Comdiac.Testbench.make ~proc ~kind ~spec amp_ext in
-    let perf = Comdiac.Testbench.performance tb in
+    let perf = Comdiac.Testbench.measure ~proc ~kind ~spec amp_ext in
     let it =
       {
         index;

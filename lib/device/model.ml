@@ -92,6 +92,14 @@ let[@inline] drain_current kind p ~w ~l bias =
     in
     -.ids_forward kind p ~w ~l swapped
 
+(* Operating region from the bias-only quantities, shared by
+   [evaluate_exact] and [region] so both classify a bias identically. *)
+let[@inline] classify ~n ~veff ~vdsat ~vds =
+  if veff < -3.0 *. n *. vt_thermal then Cutoff
+  else if veff < 3.0 *. n *. vt_thermal then Weak
+  else if Float.abs vds < vdsat then Triode
+  else Saturation
+
 let evaluate_exact kind p ~w ~l bias =
   let h = 1e-6 in
   let f b = drain_current kind p ~w ~l b in
@@ -112,13 +120,13 @@ let evaluate_exact kind p ~w ~l bias =
   let n = slope_factor p ~vbs:bias.vbs in
   let veff = bias.vgs -. vth in
   let vdsat = smooth_overdrive ~n veff in
-  let region =
-    if veff < -3.0 *. n *. vt_thermal then Cutoff
-    else if veff < 3.0 *. n *. vt_thermal then Weak
-    else if Float.abs bias.vds < vdsat then Triode
-    else Saturation
-  in
+  let region = classify ~n ~veff ~vdsat ~vds:bias.vds in
   { ids; gm; gds; gmb; vth; veff; vdsat; region }
+
+let region kind p ~l bias =
+  let n = slope_factor p ~vbs:bias.vbs in
+  let veff = bias.vgs -. threshold kind p ~l ~vbs:bias.vbs in
+  classify ~n ~veff ~vdsat:(smooth_overdrive ~n veff) ~vds:bias.vds
 
 (* Content-addressed memo over the full operating-point evaluation — the
    hot path of the sizing plans, which revisit the same designed bias

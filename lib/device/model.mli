@@ -78,6 +78,12 @@ val evaluate_exact :
 (** {!evaluate} without the memo — used by benchmarks to measure the
     uncached cost, and by the LUT builder. *)
 
+val region :
+  kind -> Technology.Electrical.mos_params -> l:float -> bias -> region
+(** The operating region {!evaluate_exact} reports for the bias, without
+    the current and conductance evaluations (the transient's per-step cap
+    linearisation needs only the region). *)
+
 val w_for_current :
   kind -> Technology.Electrical.mos_params ->
   l:float -> ids:float -> bias -> float

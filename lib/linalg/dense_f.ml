@@ -25,6 +25,8 @@ let add_to m i j x =
   let k = (i * m.c) + j in
   FA.set m.a k (FA.get m.a k +. x)
 
+let add_flat m k x = FA.set m.a k (FA.get m.a k +. x)
+
 let blit ~src ~dst =
   assert (src.r = dst.r && src.c = dst.c);
   FA.blit src.a 0 dst.a 0 (src.r * src.c)

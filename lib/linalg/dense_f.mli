@@ -27,6 +27,10 @@ val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j x] accumulates [x] into [m.(i).(j)] — the MNA "stamp"
     primitive. *)
 
+val add_flat : t -> int -> float -> unit
+(** [add_flat m k x] is [add_to m (k / cols m) (k mod cols m) x]: the
+    same accumulation addressed by the precomputed row-major position. *)
+
 val blit : src:t -> dst:t -> unit
 (** Copy [src] over [dst] (same dimensions). *)
 

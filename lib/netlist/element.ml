@@ -10,6 +10,8 @@ let dc_source dc = { dc; ac = 0.0; wave = None }
 let ac_source ?(dc = 0.0) ac = { dc; ac; wave = None }
 let wave_source ?(dc = 0.0) w = { dc; ac = 0.0; wave = Some w }
 
+let source_value s t = match s.wave with Some w -> w t | None -> s.dc
+
 type t =
   | Mos of { dev : Device.Mos.t; d : string; g : string; s : string; b : string }
   | Resistor of { name : string; p : string; n : string; r : float }

@@ -15,6 +15,9 @@ val dc_source : float -> source
 val ac_source : ?dc:float -> float -> source
 val wave_source : ?dc:float -> (float -> float) -> source
 
+val source_value : source -> float -> float
+(** The transient value at a time: [wave t], or [dc] without a waveform. *)
+
 type t =
   | Mos of { dev : Device.Mos.t; d : string; g : string; s : string; b : string }
   | Resistor of { name : string; p : string; n : string; r : float }

@@ -322,9 +322,8 @@ let run ?ctx ?(starts = 6) ?(budget = 480) ?(strategy = Nelder_mead) ?seed
       | None -> None
       | Some d ->
         (match
-           Comdiac.Testbench.performance
-             (Comdiac.Testbench.make ~proc ~kind ~spec
-                d.Comdiac.Folded_cascode.amp)
+           Comdiac.Testbench.measure ~proc ~kind ~spec
+             d.Comdiac.Folded_cascode.amp
          with
          | p -> Some p
          | exception (Failure _ | Phys.Numerics.No_convergence _) -> None)

@@ -154,24 +154,27 @@ let linspace a b n =
   assert (n >= 2);
   Array.init n (fun i -> a +. (b -. a) *. float_of_int i /. float_of_int (n - 1))
 
-let interp_linear pts x =
-  let n = Array.length pts in
+let interp_linear_by ~n ~x ~y t =
   assert (n >= 1);
-  let x0, y0 = pts.(0) and xn, yn = pts.(n - 1) in
-  if x <= x0 then y0
-  else if x >= xn then yn
+  if t <= x 0 then y 0
+  else if t >= x (n - 1) then y (n - 1)
   else begin
-    (* binary search for the segment containing x *)
+    (* binary search for the segment containing t *)
     let rec find lo hi =
       if hi - lo <= 1 then lo
       else
         let mid = (lo + hi) / 2 in
-        if fst pts.(mid) <= x then find mid hi else find lo mid
+        if x mid <= t then find mid hi else find lo mid
     in
     let i = find 0 (n - 1) in
-    let xa, ya = pts.(i) and xb, yb = pts.(i + 1) in
-    if xb = xa then ya else ya +. (yb -. ya) *. (x -. xa) /. (xb -. xa)
+    let xa = x i and xb = x (i + 1) in
+    let ya = y i and yb = y (i + 1) in
+    if xb = xa then ya else ya +. (yb -. ya) *. (t -. xa) /. (xb -. xa)
   end
+
+let interp_linear pts t =
+  interp_linear_by ~n:(Array.length pts)
+    ~x:(fun i -> fst pts.(i)) ~y:(fun i -> snd pts.(i)) t
 
 let close ?(rel = 1e-9) ?(abs_tol = 1e-12) a b =
   Float.abs (a -. b) <= Float.max abs_tol (rel *. Float.max (Float.abs a) (Float.abs b))

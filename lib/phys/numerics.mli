@@ -57,6 +57,11 @@ val interp_linear : (float * float) array -> float -> float
 (** [interp_linear pts x] linearly interpolates the piecewise-linear function
     through [pts] (sorted by abscissa) at [x], clamping outside the range. *)
 
+val interp_linear_by :
+  n:int -> x:(int -> float) -> y:(int -> float) -> float -> float
+(** [interp_linear_by ~n ~x ~y t] is [interp_linear] over the [n >= 1]
+    points [(x i, y i)], read by index rather than from a pairs array. *)
+
 val close : ?rel:float -> ?abs_tol:float -> float -> float -> bool
 (** [close a b] is true when [a] and [b] agree within relative tolerance
     [rel] (default 1e-9) or absolute tolerance [abs_tol] (default 1e-12). *)

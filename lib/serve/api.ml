@@ -372,14 +372,14 @@ let run_workload ?cancel (r : P.request) proc =
      | Some (Ok (amp, predicted)) ->
        Ok
          (classify ~analysis:"size" (fun () ->
-            let tb = Comdiac.Testbench.make ~proc ~kind ~spec amp in
+            let perf = Comdiac.Testbench.measure ~proc ~kind ~spec amp in
             J.Obj
               ([
                  ("topology", J.Str topology);
                  ("devices", devices_payload amp);
                ]
                @ predicted
-               @ [ ("performance", perf_to_json (Comdiac.Testbench.performance tb)) ]))))
+               @ [ ("performance", perf_to_json perf) ]))))
   | P.Mc { n; seed } ->
     Ok
       (classify ~analysis:"montecarlo" (fun () -> nominal_design ~proc ~kind ~spec)

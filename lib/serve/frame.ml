@@ -29,12 +29,14 @@ let really_read fd buf off len =
     | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> raise Truncated
   done
 
+(* Header and payload go out in one write: a peer that answers an
+   oversized header and closes cannot do so between the two. *)
 let write fd payload =
   let len = String.length payload in
-  let header = Bytes.create 4 in
-  Bytes.set_int32_be header 0 (Int32.of_int len);
-  really_write fd (Bytes.to_string header);
-  really_write fd payload
+  let frame = Bytes.create (4 + len) in
+  Bytes.set_int32_be frame 0 (Int32.of_int len);
+  Bytes.blit_string payload 0 frame 4 len;
+  really_write fd (Bytes.unsafe_to_string frame)
 
 let read ?(max_frame = max_frame_default) fd =
   let header = Bytes.create 4 in

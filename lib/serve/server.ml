@@ -365,13 +365,15 @@ let reader t conn () =
            (match P.request_of_json json with
             | Ok req -> admit t conn req
             | Error _ -> ())
-         | Error _ -> ());
-        Atomic.set conn.alive false
-      | None | (exception _) -> Atomic.set conn.alive false
+         | Error _ -> ())
+      | None | (exception _) -> ()
     end
   in
   loop ();
-  kill conn
+  (* A connection still owed the answers of jobs admitted before the
+     shutdown stays writable until [stop] has drained the executors and
+     kills it: killing it here would drop those answers. *)
+  if not (Atomic.get t.shutdown && Atomic.get conn.pending > 0) then kill conn
 
 (* --- lifecycle --------------------------------------------------------- *)
 

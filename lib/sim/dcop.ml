@@ -1,5 +1,3 @@
-module R = Linalg.Real
-
 type t = {
   idx : Indexing.t;
   x : float array;
@@ -27,28 +25,13 @@ exception Diverged
    reusable workspace and factors it in place, so the whole Newton loop
    performs no linear-algebra allocation; [Reference] rebuilds the boxed
    functor system per iterate exactly as the original implementation.
-   [Sparse] runs the symbolic analysis once up front (pattern, ordering,
-   fill slots — cached per domain across attempts and solves) and then
-   only numerically refactors per iterate, stamping through the
-   slot-resolved program. *)
-let newton backend kind prog idx ~gmin ~alpha ~max_iter x0 =
+   [Sparse] binds the system once per solve (pattern, ordering, fill
+   slots — the symbolic analysis cached per domain across solves) and
+   then only numerically refactors per iterate. *)
+let newton kind sys idx ~gmin ~alpha ~max_iter x0 =
   let n = Indexing.size idx in
   assert (Array.length x0 = n);
   let x = Array.copy x0 in
-  let ws =
-    match backend with
-    | Stamps.Kernel -> Some (Linalg.Ws.real n)
-    | Stamps.Reference | Stamps.Sparse _ -> None
-  in
-  let sparse =
-    match backend with
-    | Stamps.Sparse ordering ->
-      let pat = Stamps.dc_pattern idx prog in
-      let sp = Stamps.compile_slots pat idx prog in
-      let sym = Linalg.Sparse.symbolic ordering pat in
-      Some (Stamps.smat_of_pattern pat, sp, Linalg.Sparse.Real.create sym)
-    | Stamps.Kernel | Stamps.Reference -> None
-  in
   let step_limit = 0.5 in
   (* local accumulators keep the hot loop free of telemetry lookups *)
   let damped = ref 0 in
@@ -56,70 +39,11 @@ let newton backend kind prog idx ~gmin ~alpha ~max_iter x0 =
   let rec loop iter =
     if iter >= max_iter then raise Diverged
     else begin
-      let ctx =
-        match ws, sparse with
-        | Some w, _ -> Stamps.make_ws idx w x
-        | None, Some (sm, _, _) ->
-          Stamps.make_sparse idx sm ~f:(Linalg.Ws.sparse_real n).Linalg.Ws.srhs
-            x
-        | None, None -> Stamps.make idx x
-      in
-      (match sparse with
-       | Some (_, sp, _) -> Stamps.run_sparse kind sp ctx ~gmin ~alpha
-       | None -> Stamps.run kind prog ctx ~gmin ~alpha);
+      let ctx = Stamps.iterate sys x in
+      Stamps.run kind sys ctx ~gmin ~alpha;
       let f = ctx.Stamps.f in
       let delta =
-        try
-          match ctx.Stamps.jac, ws with
-          | Stamps.Unboxed m, Some w ->
-            (* RHS is -f; negate the residual buffer in place, then factor
-               and solve into the workspace without allocating *)
-            for i = 0 to n - 1 do
-              Array.unsafe_set f i (-.(Array.unsafe_get f i))
-            done;
-            Linalg.Dense_f.lu_factor_in_place m ~piv:w.Linalg.Ws.piv;
-            Linalg.Dense_f.lu_solve_into m ~piv:w.Linalg.Ws.piv
-              ~b:w.Linalg.Ws.rhs ~x:w.Linalg.Ws.delta;
-            w.Linalg.Ws.delta
-          | Stamps.Boxed m, _ -> R.solve m (Array.map (fun v -> -.v) f)
-          | Stamps.Csr sm, _ ->
-            let fact =
-              match sparse with Some (_, _, fact) -> fact | None -> assert false
-            in
-            (* same RHS convention as the kernel path: negate in place,
-               refactor over the frozen pattern, solve into the sparse
-               workspace *)
-            for i = 0 to n - 1 do
-              Array.unsafe_set f i (-.(Array.unsafe_get f i))
-            done;
-            let sws = Linalg.Ws.sparse_real n in
-            let fallback () =
-              (* the static pivot order failed numerically at this
-                 iterate — a zero pivot or overflow through a tiny one;
-                 retry the same values with the pivoting natural-order
-                 factor over the same pattern *)
-              if (Obs.Config.enabled ()) then
-                Obs.Metrics.incr "sim.dcop.pivot_fallbacks";
-              let nfact =
-                Linalg.Sparse.Real.create
-                  (Linalg.Sparse.symbolic Linalg.Sparse.Natural
-                     sm.Stamps.spat)
-              in
-              Linalg.Sparse.Real.refactor nfact ~vals:sm.Stamps.svals;
-              Linalg.Sparse.Real.solve_into nfact ~b:f
-                ~x:sws.Linalg.Ws.sdelta
-            in
-            let is_md = backend = Stamps.Sparse Linalg.Sparse.Min_degree in
-            (try
-               Linalg.Sparse.Real.refactor fact ~vals:sm.Stamps.svals;
-               Linalg.Sparse.Real.solve_into fact ~b:f ~x:sws.Linalg.Ws.sdelta
-             with Linalg.Singular _ when is_md -> fallback ());
-            if is_md
-               && not (Array.for_all Float.is_finite sws.Linalg.Ws.sdelta)
-            then fallback ();
-            sws.Linalg.Ws.sdelta
-          | Stamps.Unboxed _, None -> assert false
-        with Linalg.Singular _ -> raise Diverged
+        try Stamps.solve sys ctx with Linalg.Singular _ -> raise Diverged
       in
       let m = max_abs delta in
       if Float.is_nan m then raise Diverged;
@@ -176,11 +100,11 @@ let solve ?backend ?(guess = fun _ -> None) ?(max_iter = 100) ?(gmin = 1e-12)
     match backend with Some b -> b | None -> Stamps.default_backend ()
   in
   let idx = Indexing.build circuit in
-  let prog = Stamps.compile proc idx circuit in
+  let sys = Stamps.system backend idx (Stamps.compile proc idx circuit) in
   let x0 = initial_guess idx guess in
   let total_iters = ref 0 in
   let attempt ~gmin ~alpha x =
-    let x, it = newton backend kind prog idx ~gmin ~alpha ~max_iter x in
+    let x, it = newton kind sys idx ~gmin ~alpha ~max_iter x in
     total_iters := !total_iters + it;
     x
   in

@@ -1,6 +1,8 @@
 module R = Linalg.Real
 module Df = Linalg.Dense_f
 module Mdl = Device.Model
+module El = Netlist.Element
+module E = Technology.Electrical
 
 type backend = Kernel | Reference | Sparse of Linalg.Sparse.ordering
 
@@ -44,100 +46,13 @@ let with_default_backend b f = Obs.Fluid.with_value local b f
 
 type smat = { spat : Linalg.Sparse.pattern; svals : float array }
 
-let smat_of_pattern spat =
-  { spat; svals = Array.make (Linalg.Sparse.nnz spat) 0.0 }
-
 type mat = Unboxed of Df.t | Boxed of R.t | Csr of smat
 
 type ctx = {
-  idx : Indexing.t;
   jac : mat;
   f : float array;
   x : float array;
 }
-
-let make idx x =
-  let n = Indexing.size idx in
-  assert (Array.length x = n);
-  { idx; jac = Boxed (R.create n n); f = Array.make n 0.0; x }
-
-let make_ws idx (ws : Linalg.Ws.real) x =
-  let n = Indexing.size idx in
-  assert (Array.length x = n && Df.rows ws.Linalg.Ws.jac = n);
-  Df.clear ws.Linalg.Ws.jac;
-  Array.fill ws.Linalg.Ws.rhs 0 n 0.0;
-  { idx; jac = Unboxed ws.Linalg.Ws.jac; f = ws.Linalg.Ws.rhs; x }
-
-let make_sparse idx sm ~f x =
-  let n = Indexing.size idx in
-  assert (Array.length x = n && Array.length f = n);
-  Array.fill sm.svals 0 (Array.length sm.svals) 0.0;
-  Array.fill f 0 n 0.0;
-  { idx; jac = Csr sm; f; x }
-
-(* The single accumulation primitive both backends share: everything below
-   stamps through here, so the two matrix representations see the exact
-   same sequence of additions and stay bit-identical. *)
-let madd ctx i j v =
-  match ctx.jac with
-  | Unboxed m -> Df.add_to m i j v
-  | Boxed m -> R.add_to m i j v
-  | Csr { spat; svals } ->
-    (* binary-search slot resolution: the general path for name-based
-       stamping (transient re-stamps); the compiled DC loop goes through
-       [run_sparse] with precomputed slots instead *)
-    let s = Linalg.Sparse.slot_exn spat i j in
-    svals.(s) <- svals.(s) +. v
-
-let volt ctx node =
-  match Indexing.node_index ctx.idx node with
-  | None -> 0.0
-  | Some i -> ctx.x.(i)
-
-let with_idx ctx node k =
-  match Indexing.node_index ctx.idx node with None -> () | Some i -> k i
-
-let add_current ctx node value =
-  with_idx ctx node (fun i -> ctx.f.(i) <- ctx.f.(i) +. value)
-
-let add_jac ctx np nq value =
-  match Indexing.node_index ctx.idx np with
-  | None -> ()
-  | Some i ->
-    (match Indexing.node_index ctx.idx nq with
-     | None -> ()
-     | Some j -> madd ctx i j value)
-
-let conductor ctx ~p ~n ~g ~i_extra =
-  let i = g *. (volt ctx p -. volt ctx n) +. i_extra in
-  add_current ctx p i;
-  add_current ctx n (-.i);
-  add_jac ctx p p g;
-  add_jac ctx p n (-.g);
-  add_jac ctx n n g;
-  add_jac ctx n p (-.g)
-
-let resistor ctx ~p ~n ~r = conductor ctx ~p ~n ~g:(1.0 /. r) ~i_extra:0.0
-
-let isource ctx ~p ~n value =
-  add_current ctx p value;
-  add_current ctx n (-.value)
-
-let vsource ctx ~row ~p ~n value =
-  let k = row in
-  add_current ctx p ctx.x.(k);
-  add_current ctx n (-.(ctx.x.(k)));
-  with_idx ctx p (fun i -> madd ctx i k 1.0);
-  with_idx ctx n (fun i -> madd ctx i k (-1.0));
-  ctx.f.(k) <- volt ctx p -. volt ctx n -. value;
-  with_idx ctx p (fun i -> madd ctx k i 1.0);
-  with_idx ctx n (fun i -> madd ctx k i (-1.0))
-
-let gmin_all ctx gmin =
-  for i = 0 to Indexing.node_count ctx.idx - 1 do
-    ctx.f.(i) <- ctx.f.(i) +. gmin *. ctx.x.(i);
-    madd ctx i i gmin
-  done
 
 let device_bias dev ~vd ~vg ~vs ~vb =
   let sgn = Technology.Electrical.mos_type_sign dev.Device.Mos.mtype in
@@ -149,271 +64,373 @@ let device_bias dev ~vd ~vg ~vs ~vb =
 (* Compiled stamp programs                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The DC circuit walk with every node name resolved to its MNA index
-   (-1 = ground) and the per-device model card fetched once.  Compiling
-   hoists the string-map lookups (and their [Some i] allocations) out of
-   the Newton loop: an iterate touches only int indices and the flat
-   buffers.  The program preserves the element order and the exact
-   floating-point operation sequence of the name-based stamps above, so
-   both backends stay bit-identical to the uncompiled walk. *)
+(* The per-device constants of the transient's cap linearisation (the
+   work [Device.Op.compute] redoes on every call): the Meyer gate caps of
+   each of the four regions, and the card and diffusion geometry of the
+   two junction caps. *)
+type mcaps = {
+  gate : float array;  (* cgs, cgd, cgb for Cutoff, Weak, Triode, Saturation *)
+  jcard : E.mos_params;
+  ad : float;
+  as_ : float;
+  pd : float;
+  ps : float;
+}
+
+(* The circuit walk with every node name resolved to its MNA index
+   (-1 = ground) and the per-device model card fetched once, so Newton
+   iterates touch only int indices and flat buffers.  [s] is an
+   element's first entry in the slot table (its Jacobian writes, in stamp
+   order); [k] its first companion (a capacitor has one, a MOS five) and
+   [mc] its cap constants, both only in a transient program. *)
 type pelem =
-  | P_resistor of { pi : int; ni : int; g : float }
-  | P_isource of { pi : int; ni : int; i : float }
-  | P_vsource of { row : int; pi : int; ni : int; v : float }
+  | P_resistor of { pi : int; ni : int; g : float; s : int }
+  | P_cap of { pi : int; ni : int; c : float; k : int }
+  | P_isource of { pi : int; ni : int; src : El.source }
+  | P_vsource of { row : int; pi : int; ni : int; src : El.source; s : int }
   | P_mos of {
       dev : Device.Mos.t;
-      card : Technology.Electrical.mos_params;
+      card : E.mos_params;
       sgn : float;
       di : int;
       gi : int;
       si : int;
       bi : int;
+      s : int;
+      k : int;
+      mc : mcaps option;
     }
 
-type prog = pelem array
+type prog = {
+  elems : pelem array;
+  transient : bool;
+  cp : int array;  (* companion endpoints, in stamp order; empty at DC *)
+  cn : int array;
+  nslots : int;  (* element writes; companion [k]'s four follow at [nslots + 4k] *)
+}
 
-let compile proc idx circuit =
+let regions = [ Mdl.Cutoff; Mdl.Weak; Mdl.Triode; Mdl.Saturation ]
+
+let region_index = function
+  | Mdl.Cutoff -> 0
+  | Mdl.Weak -> 1
+  | Mdl.Triode -> 2
+  | Mdl.Saturation -> 3
+
+(* The constants [Device.Op.compute] derives per call: Meyer caps from the
+   process card, junctions from the as-drawn diffusion (with the device's
+   card) when the extractor supplied one, from the folding geometry
+   otherwise. *)
+let mos_caps proc (dev : Device.Mos.t) =
+  let pcard =
+    match dev.Device.Mos.mtype with
+    | E.Nmos -> proc.Technology.Process.electrical.E.nmos
+    | E.Pmos -> proc.Technology.Process.electrical.E.pmos
+  in
+  let meyer region =
+    let c =
+      Device.Caps.meyer pcard ~w:dev.Device.Mos.w ~l:dev.Device.Mos.l
+        ~nf:dev.Device.Mos.style.Device.Folding.nf ~region
+    in
+    Device.Caps.[ c.cgs; c.cgd; c.cgb ]
+  in
+  let g = Device.Mos.diffusion_geom proc dev in
+  { gate = Array.of_list (List.concat_map meyer regions);
+    jcard =
+      (match dev.Device.Mos.diffusion with
+       | None -> pcard
+       | Some _ -> Device.Mos.params proc dev);
+    ad = g.Device.Folding.ad;
+    as_ = g.Device.Folding.as_;
+    pd = g.Device.Folding.pd;
+    ps = g.Device.Folding.ps }
+
+let compile ?(transient = false) proc idx circuit =
   let ridx name =
     match Indexing.node_index idx name with None -> -1 | Some i -> i
   in
-  let module El = Netlist.Element in
-  Array.of_list
-    (List.filter_map
-       (fun e ->
-         match e with
-         | El.Resistor { p; n; r; _ } ->
-           Some (P_resistor { pi = ridx p; ni = ridx n; g = 1.0 /. r })
-         | El.Capacitor _ -> None (* open at DC *)
-         | El.Isource { p; n; i; _ } ->
-           Some (P_isource { pi = ridx p; ni = ridx n; i = i.El.dc })
-         | El.Vsource { name; p; n; v; _ } ->
-           Some
-             (P_vsource
-                { row = Indexing.vsource_index idx name;
-                  pi = ridx p;
-                  ni = ridx n;
-                  v = v.El.dc })
-         | El.Mos { dev; d; g; s; b } ->
-           Some
-             (P_mos
-                { dev;
-                  card = Device.Mos.params proc dev;
-                  sgn = Technology.Electrical.mos_type_sign dev.Device.Mos.mtype;
-                  di = ridx d;
-                  gi = ridx g;
-                  si = ridx s;
-                  bi = ridx b }))
-       (Netlist.Circuit.elements circuit))
+  let nslots = ref 0 and comps = ref [] and ncomp = ref 0 in
+  let take n =
+    let s = !nslots in
+    nslots := s + n;
+    s
+  in
+  let comp p n =
+    if not transient then -1
+    else begin
+      comps := (p, n) :: !comps;
+      Stdlib.incr ncomp;
+      !ncomp - 1
+    end
+  in
+  let elem = function
+    | El.Resistor { p; n; r; _ } ->
+      P_resistor { pi = ridx p; ni = ridx n; g = 1.0 /. r; s = take 4 }
+    | El.Capacitor { p; n; c; _ } ->
+      let pi = ridx p and ni = ridx n in
+      P_cap { pi; ni; c; k = comp pi ni }
+    | El.Isource { p; n; i; _ } -> P_isource { pi = ridx p; ni = ridx n; src = i }
+    | El.Vsource { name; p; n; v; _ } ->
+      P_vsource
+        { row = Indexing.vsource_index idx name;
+          pi = ridx p;
+          ni = ridx n;
+          src = v;
+          s = take 4 }
+    | El.Mos { dev; d; g; s; b } ->
+      let di = ridx d and gi = ridx g and si = ridx s and bi = ridx b in
+      let s = take 8 in
+      (* the five cap pairs in stamp order: g-s, g-d, g-b, d-b, s-b *)
+      let k = comp gi si in
+      ignore (comp gi di);
+      ignore (comp gi bi);
+      ignore (comp di bi);
+      ignore (comp si bi);
+      P_mos
+        { dev;
+          card = Device.Mos.params proc dev;
+          sgn = E.mos_type_sign dev.Device.Mos.mtype;
+          di; gi; si; bi; s; k;
+          mc = (if transient then Some (mos_caps proc dev) else None) }
+  in
+  let elems = Array.of_list (List.map elem (Netlist.Circuit.elements circuit)) in
+  let cp, cn = Array.split (Array.of_list (List.rev !comps)) in
+  { elems; transient; cp; cn; nslots = !nslots }
+
+(* ------------------------------------------------------------------ *)
+(* Sparse patterns and slot tables                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [writes f pe] calls [f m i j] for the [m]-th Jacobian write of a
+   stamp, in stamp order (ground-skipped pairs included, to be resolved
+   to -1). *)
+let quad f pi ni =
+  f 0 pi pi;
+  f 1 pi ni;
+  f 2 ni ni;
+  f 3 ni pi
+
+let writes f = function
+  | P_resistor { pi; ni; _ } -> quad f pi ni
+  | P_cap _ | P_isource _ -> ()
+  | P_vsource { row; pi; ni; _ } ->
+    f 0 pi row;
+    f 1 ni row;
+    f 2 row pi;
+    f 3 row ni
+  | P_mos { di; gi; si; bi; _ } ->
+    f 0 di gi;
+    f 1 di di;
+    f 2 di bi;
+    f 3 di si;
+    f 4 si gi;
+    f 5 si di;
+    f 6 si bi;
+    f 7 si si
+
+(* A transient program's pattern adds every position the backward-Euler
+   companions can reach — capacitor quads and the five MOS cap-pair
+   quads, unconditionally: a bias-dependent capacitance may be zero at
+   one time step and nonzero at the next, and the pattern is frozen for
+   the whole run. *)
+let pattern idx prog =
+  let acc = ref [] in
+  let put _ i j = if i >= 0 && j >= 0 then acc := (i, j) :: !acc in
+  Array.iter (writes put) prog.elems;
+  Array.iteri (fun k p -> quad put p prog.cn.(k)) prog.cp;
+  for i = 0 to Indexing.node_count idx - 1 do
+    acc := (i, i) :: !acc
+  done;
+  Linalg.Sparse.of_coords ~n:(Indexing.size idx) !acc
+
+(* Where each write lands: the row-major position in a dense matrix of
+   order [n], or the CSR slot of a pattern; -1 for a ground-skipped
+   write. *)
+type layout = Dense of int | Slots of Linalg.Sparse.pattern
+
+let slot layout i j =
+  if i < 0 || j < 0 then -1
+  else
+    match layout with
+    | Dense n -> (i * n) + j
+    | Slots pat -> Linalg.Sparse.slot_exn pat i j
+
+let slot_table layout prog =
+  let tbl = Array.make (prog.nslots + (4 * Array.length prog.cp)) (-1) in
+  let fill s m i j = tbl.(s + m) <- slot layout i j in
+  Array.iter
+    (fun pe ->
+      match pe with
+      | P_resistor { s; _ } | P_vsource { s; _ } | P_mos { s; _ } ->
+        writes (fill s) pe
+      | P_cap _ | P_isource _ -> ())
+    prog.elems;
+  Array.iteri (fun k p -> quad (fill (prog.nslots + (4 * k))) p prog.cn.(k)) prog.cp;
+  tbl
+
+(* ------------------------------------------------------------------ *)
+(* Systems: a program bound to a backend's buffers                     *)
+(* ------------------------------------------------------------------ *)
+
+type lin =
+  | L_kernel of Linalg.Ws.real
+  | L_boxed
+  | L_csr of { sm : smat; fact : Linalg.Sparse.Real.t; md : bool }
+
+type system = {
+  n : int;  (* unknowns *)
+  prog : prog;
+  tbl : int array;
+  dslots : int array;  (* gmin diagonal per node row *)
+  lin : lin;
+  fallbacks : string;  (* pivot-fallback metric *)
+  cg : float array;  (* companion conductance [c/dt], per companion *)
+  cx : float array;  (* companion current offset [-g vprev] *)
+  con : bool array;  (* companion stamped this step ([c > 0] for MOS pairs) *)
+}
+
+let system backend idx prog =
+  let n = Indexing.size idx in
+  let layout, lin =
+    match backend with
+    | Kernel -> (Dense n, L_kernel (Linalg.Ws.real n))
+    | Reference -> (Dense n, L_boxed)
+    | Sparse ordering ->
+      (* the symbolic analysis is shared by every iterate of the system *)
+      let spat = pattern idx prog in
+      ( Slots spat,
+        L_csr
+          { sm = { spat; svals = Array.make (Linalg.Sparse.nnz spat) 0.0 };
+            fact = Linalg.Sparse.Real.create (Linalg.Sparse.symbolic ordering spat);
+            md = ordering = Linalg.Sparse.Min_degree } )
+  in
+  let nc = Array.length prog.cp in
+  { n;
+    prog;
+    tbl = slot_table layout prog;
+    dslots = Array.init (Indexing.node_count idx) (fun i -> slot layout i i);
+    lin;
+    fallbacks = (if prog.transient then "sim.tran.pivot_fallbacks" else "sim.dcop.pivot_fallbacks");
+    cg = Array.make nc 0.0;
+    cx = Array.make nc 0.0;
+    con = Array.make nc false }
+
+let iterate sys x =
+  let n = sys.n in
+  assert (Array.length x = n);
+  match sys.lin with
+  | L_kernel ws ->
+    Df.clear ws.Linalg.Ws.jac;
+    Array.fill ws.Linalg.Ws.rhs 0 n 0.0;
+    { jac = Unboxed ws.Linalg.Ws.jac; f = ws.Linalg.Ws.rhs; x }
+  | L_boxed -> { jac = Boxed (R.create n n); f = Array.make n 0.0; x }
+  | L_csr { sm; _ } ->
+    let f = (Linalg.Ws.sparse_real n).Linalg.Ws.srhs in
+    Array.fill sm.svals 0 (Array.length sm.svals) 0.0;
+    Array.fill f 0 n 0.0;
+    { jac = Csr sm; f; x }
+
+let solve sys ctx =
+  let n = sys.n in
+  let f = ctx.f in
+  (* the right-hand side is -f: negate the residual buffer in place *)
+  let negate () =
+    for i = 0 to n - 1 do
+      Array.unsafe_set f i (-.(Array.unsafe_get f i))
+    done
+  in
+  match sys.lin, ctx.jac with
+  | L_kernel w, Unboxed m ->
+    negate ();
+    Df.lu_factor_in_place m ~piv:w.Linalg.Ws.piv;
+    Df.lu_solve_into m ~piv:w.Linalg.Ws.piv ~b:w.Linalg.Ws.rhs
+      ~x:w.Linalg.Ws.delta;
+    w.Linalg.Ws.delta
+  | L_boxed, Boxed m -> R.solve m (Array.map (fun v -> -.v) f)
+  | L_csr { sm; fact; md }, Csr _ ->
+    negate ();
+    let sws = Linalg.Ws.sparse_real n in
+    let fallback () =
+      (* the static pivot order failed numerically at this iterate — a
+         zero pivot (e.g. exact cancellation across a 0 V feedback
+         source) or overflow through a tiny one; retry the same values
+         under the pivoting natural-order factor of the same pattern *)
+      if Obs.Config.enabled () then Obs.Metrics.incr sys.fallbacks;
+      let nfact =
+        Linalg.Sparse.Real.create
+          (Linalg.Sparse.symbolic Linalg.Sparse.Natural sm.spat)
+      in
+      Linalg.Sparse.Real.refactor nfact ~vals:sm.svals;
+      Linalg.Sparse.Real.solve_into nfact ~b:f ~x:sws.Linalg.Ws.sdelta
+    in
+    (try
+       Linalg.Sparse.Real.refactor fact ~vals:sm.svals;
+       Linalg.Sparse.Real.solve_into fact ~b:f ~x:sws.Linalg.Ws.sdelta
+     with Linalg.Singular _ when md -> fallback ());
+    if md && not (Array.for_all Float.is_finite sws.Linalg.Ws.sdelta) then
+      fallback ();
+    sws.Linalg.Ws.sdelta
+  | (L_kernel _ | L_boxed | L_csr _), _ ->
+    invalid_arg "Stamps.solve: context of another system"
+
+(* ------------------------------------------------------------------ *)
+(* Stamping                                                            *)
+(* ------------------------------------------------------------------ *)
 
 let xat ctx i = if i < 0 then 0.0 else Array.unsafe_get ctx.x i
 
 let fadd ctx i v =
   if i >= 0 then ctx.f.(i) <- ctx.f.(i) +. v
 
-let jadd ctx i j v = if i >= 0 && j >= 0 then madd ctx i j v
-
-let run kind prog ctx ~gmin ~alpha =
-  Array.iter
-    (fun pe ->
-      match pe with
-      | P_resistor { pi; ni; g } ->
-        (* the trailing [+. 0.0] replays [conductor]'s [i_extra] fold so a
-           [-0.0] branch current normalises identically *)
-        let i = (g *. (xat ctx pi -. xat ctx ni)) +. 0.0 in
-        fadd ctx pi i;
-        fadd ctx ni (-.i);
-        jadd ctx pi pi g;
-        jadd ctx pi ni (-.g);
-        jadd ctx ni ni g;
-        jadd ctx ni pi (-.g)
-      | P_isource { pi; ni; i } ->
-        let v = alpha *. i in
-        fadd ctx pi v;
-        fadd ctx ni (-.v)
-      | P_vsource { row = k; pi; ni; v } ->
-        fadd ctx pi ctx.x.(k);
-        fadd ctx ni (-.(ctx.x.(k)));
-        if pi >= 0 then madd ctx pi k 1.0;
-        if ni >= 0 then madd ctx ni k (-1.0);
-        ctx.f.(k) <- xat ctx pi -. xat ctx ni -. (alpha *. v);
-        if pi >= 0 then madd ctx k pi 1.0;
-        if ni >= 0 then madd ctx k ni (-1.0)
-      | P_mos { dev; card; sgn; di; gi; si; bi } ->
-        let vd = xat ctx di
-        and vg = xat ctx gi
-        and vs = xat ctx si
-        and vb = xat ctx bi in
-        let bias =
-          { Mdl.vgs = sgn *. (vg -. vs);
-            vds = sgn *. (vd -. vs);
-            vbs = sgn *. (vb -. vs) }
-        in
-        let e =
-          Mdl.evaluate_exact kind card ~w:dev.Device.Mos.w ~l:dev.Device.Mos.l
-            bias
-        in
-        let id_phys = sgn *. e.Mdl.ids in
-        fadd ctx di id_phys;
-        fadd ctx si (-.id_phys);
-        let gm = e.Mdl.gm and gds = e.Mdl.gds and gmb = e.Mdl.gmb in
-        let gs = -.(gm +. gds +. gmb) in
-        jadd ctx di gi gm;
-        jadd ctx di di gds;
-        jadd ctx di bi gmb;
-        jadd ctx di si gs;
-        jadd ctx si gi (-.gm);
-        jadd ctx si di (-.gds);
-        jadd ctx si bi (-.gmb);
-        jadd ctx si si (-.gs))
-    prog;
-  gmin_all ctx gmin
-
-(* ------------------------------------------------------------------ *)
-(* Sparse patterns and slot-resolved programs                          *)
-(* ------------------------------------------------------------------ *)
-
-(* every position a 4-point conductor stamp can touch (ground skipped) *)
-let quad_coords acc pi ni =
-  let acc = if pi >= 0 then (pi, pi) :: acc else acc in
-  let acc = if ni >= 0 then (ni, ni) :: acc else acc in
-  if pi >= 0 && ni >= 0 then (pi, ni) :: (ni, pi) :: acc else acc
-
-let mos_jac_coords acc di gi si bi =
-  let acc = ref acc in
-  let put i j = if i >= 0 && j >= 0 then acc := (i, j) :: !acc in
-  put di gi;
-  put di di;
-  put di bi;
-  put di si;
-  put si gi;
-  put si di;
-  put si bi;
-  put si si;
-  !acc
-
-let vsource_coords acc k pi ni =
-  let acc = if pi >= 0 then (pi, k) :: (k, pi) :: acc else acc in
-  if ni >= 0 then (ni, k) :: (k, ni) :: acc else acc
-
-let diag_coords acc idx =
-  let acc = ref acc in
-  for i = 0 to Indexing.node_count idx - 1 do
-    acc := (i, i) :: !acc
-  done;
-  !acc
-
-let dc_pattern idx prog =
-  let acc = ref [] in
-  Array.iter
-    (fun pe ->
-      match pe with
-      | P_resistor { pi; ni; _ } -> acc := quad_coords !acc pi ni
-      | P_isource _ -> ()
-      | P_vsource { row; pi; ni; _ } -> acc := vsource_coords !acc row pi ni
-      | P_mos { di; gi; si; bi; _ } -> acc := mos_jac_coords !acc di gi si bi)
-    prog;
-  Linalg.Sparse.of_coords ~n:(Indexing.size idx) (diag_coords !acc idx)
-
-(* The transient pattern includes every position the backward-Euler
-   companions can reach: capacitor conductor quads and the five MOS
-   cap-pair quads, unconditionally — a bias-dependent capacitance may be
-   zero at one time step and nonzero at the next, and the pattern is
-   frozen for the whole run. *)
-let tran_pattern idx circuit =
-  let module El = Netlist.Element in
-  let ridx name =
-    match Indexing.node_index idx name with None -> -1 | Some i -> i
-  in
-  let acc = ref [] in
-  List.iter
-    (fun e ->
-      match e with
-      | El.Resistor { p; n; _ } | El.Capacitor { p; n; _ } ->
-        acc := quad_coords !acc (ridx p) (ridx n)
-      | El.Isource _ -> ()
-      | El.Vsource { name; p; n; _ } ->
-        acc :=
-          vsource_coords !acc (Indexing.vsource_index idx name) (ridx p)
-            (ridx n)
-      | El.Mos { d; g; s; b; _ } ->
-        let di = ridx d and gi = ridx g and si = ridx s and bi = ridx b in
-        acc := mos_jac_coords !acc di gi si bi;
-        acc := quad_coords !acc gi si;
-        acc := quad_coords !acc gi di;
-        acc := quad_coords !acc gi bi;
-        acc := quad_coords !acc di bi;
-        acc := quad_coords !acc si bi)
-    (Netlist.Circuit.elements circuit);
-  Linalg.Sparse.of_coords ~n:(Indexing.size idx) (diag_coords !acc idx)
-
-(* Slot-resolved stamp program: every Jacobian write of [run] mapped to
-   its CSR slot at compile time, so the sparse Newton hot loop indexes
-   straight into the value array — no lookups of any kind. *)
-type sprog = {
-  sprog_p : prog;
-  eslots : int array array;  (* per element, in [run]'s write order; -1 = ground-skipped *)
-  dslots : int array;  (* gmin diagonal slot per node row *)
-}
-
-let compile_slots pat idx prog =
-  let sl i j = if i >= 0 && j >= 0 then Linalg.Sparse.slot_exn pat i j else -1 in
-  let eslots =
-    Array.map
-      (fun pe ->
-        match pe with
-        | P_resistor { pi; ni; _ } ->
-          [| sl pi pi; sl pi ni; sl ni ni; sl ni pi |]
-        | P_isource _ -> [||]
-        | P_vsource { row; pi; ni; _ } ->
-          [| sl pi row; sl ni row; sl row pi; sl row ni |]
-        | P_mos { di; gi; si; bi; _ } ->
-          [| sl di gi; sl di di; sl di bi; sl di si;
-             sl si gi; sl si di; sl si bi; sl si si |])
-      prog
-  in
-  { sprog_p = prog;
-    eslots;
-    dslots = Array.init (Indexing.node_count idx) (fun i -> sl i i) }
-
-let sadd vals s v =
-  if s >= 0 then Array.unsafe_set vals s (Array.unsafe_get vals s +. v)
-
-(* The slot-resolved twin of [run]: same element order, same FP sequence,
-   every accumulation landing on the same logical position in the same
-   order — so natural-ordering sparse solves stay bit-identical to the
-   dense backends.  Kept in sync with [run] by construction (the residual
-   arithmetic is untouched; only [jadd]s become direct slot writes). *)
-let run_sparse kind sp ctx ~gmin ~alpha =
-  let vals =
+(* The single accumulation primitive of every backend: all stamps write
+   through here in the same order, so the three matrix representations
+   see the same sequence of additions per position and stay
+   bit-identical. *)
+let jadd ctx k v =
+  if k >= 0 then
     match ctx.jac with
-    | Csr sm -> sm.svals
-    | Unboxed _ | Boxed _ -> invalid_arg "Stamps.run_sparse: not a Csr context"
+    | Unboxed m -> Df.add_flat m k v
+    | Csr { svals; _ } -> Array.unsafe_set svals k (Array.unsafe_get svals k +. v)
+    | Boxed m ->
+      let n = R.cols m in
+      R.add_to m (k / n) (k mod n) v
+
+(* Linear branch: current [g (vp - vn) + i_extra] from p to n. *)
+let conductor ctx tbl s pi ni g i_extra =
+  let i = (g *. (xat ctx pi -. xat ctx ni)) +. i_extra in
+  fadd ctx pi i;
+  fadd ctx ni (-.i);
+  jadd ctx tbl.(s) g;
+  jadd ctx tbl.(s + 1) (-.g);
+  jadd ctx tbl.(s + 2) g;
+  jadd ctx tbl.(s + 3) (-.g)
+
+(* One Newton iterate of the whole circuit: element order, each MOS
+   followed by its cap companions (when [companions]), gmin last. *)
+let walk kind sys ctx ~gmin ~value ~companions =
+  let tbl = sys.tbl and nslots = sys.prog.nslots in
+  let comp k pi ni =
+    if sys.con.(k) then
+      conductor ctx tbl (nslots + (4 * k)) pi ni sys.cg.(k) sys.cx.(k)
   in
-  Array.iteri
-    (fun ei pe ->
-      let sl = sp.eslots.(ei) in
+  Array.iter
+    (fun pe ->
       match pe with
-      | P_resistor { pi; ni; g } ->
-        let i = (g *. (xat ctx pi -. xat ctx ni)) +. 0.0 in
-        fadd ctx pi i;
-        fadd ctx ni (-.i);
-        sadd vals sl.(0) g;
-        sadd vals sl.(1) (-.g);
-        sadd vals sl.(2) g;
-        sadd vals sl.(3) (-.g)
-      | P_isource { pi; ni; i } ->
-        let v = alpha *. i in
+      | P_resistor { pi; ni; g; s } -> conductor ctx tbl s pi ni g 0.0
+      | P_cap { pi; ni; k; _ } -> if companions then comp k pi ni
+      | P_isource { pi; ni; src } ->
+        let v = value src in
         fadd ctx pi v;
         fadd ctx ni (-.v)
-      | P_vsource { row = k; pi; ni; v } ->
+      | P_vsource { row = k; pi; ni; src; s } ->
         fadd ctx pi ctx.x.(k);
         fadd ctx ni (-.(ctx.x.(k)));
-        sadd vals sl.(0) 1.0;
-        sadd vals sl.(1) (-1.0);
-        ctx.f.(k) <- xat ctx pi -. xat ctx ni -. (alpha *. v);
-        sadd vals sl.(2) 1.0;
-        sadd vals sl.(3) (-1.0)
-      | P_mos { dev; card; sgn; di; gi; si; bi } ->
+        jadd ctx tbl.(s) 1.0;
+        jadd ctx tbl.(s + 1) (-1.0);
+        ctx.f.(k) <- xat ctx pi -. xat ctx ni -. value src;
+        jadd ctx tbl.(s + 2) 1.0;
+        jadd ctx tbl.(s + 3) (-1.0)
+      | P_mos { dev; card; sgn; di; gi; si; bi; s; k; _ } ->
         let vd = xat ctx di
         and vg = xat ctx gi
         and vs = xat ctx si
@@ -423,6 +440,9 @@ let run_sparse kind sp ctx ~gmin ~alpha =
             vds = sgn *. (vd -. vs);
             vbs = sgn *. (vb -. vs) }
         in
+        (* deliberately the unmemoized entry point: Newton iterates
+           produce a fresh bias almost every call, so a memo here is all
+           misses and LRU churn *)
         let e =
           Mdl.evaluate_exact kind card ~w:dev.Device.Mos.w ~l:dev.Device.Mos.l
             bias
@@ -430,40 +450,71 @@ let run_sparse kind sp ctx ~gmin ~alpha =
         let id_phys = sgn *. e.Mdl.ids in
         fadd ctx di id_phys;
         fadd ctx si (-.id_phys);
+        (* dI_D/dvg = gm, /dvd = gds, /dvb = gmb, /dvs = -(gm + gds + gmb):
+           the polarity signs cancel, so the entries are identical for
+           both types *)
         let gm = e.Mdl.gm and gds = e.Mdl.gds and gmb = e.Mdl.gmb in
         let gs = -.(gm +. gds +. gmb) in
-        sadd vals sl.(0) gm;
-        sadd vals sl.(1) gds;
-        sadd vals sl.(2) gmb;
-        sadd vals sl.(3) gs;
-        sadd vals sl.(4) (-.gm);
-        sadd vals sl.(5) (-.gds);
-        sadd vals sl.(6) (-.gmb);
-        sadd vals sl.(7) (-.gs))
-    sp.sprog_p;
-  for i = 0 to Array.length sp.dslots - 1 do
+        jadd ctx tbl.(s) gm;
+        jadd ctx tbl.(s + 1) gds;
+        jadd ctx tbl.(s + 2) gmb;
+        jadd ctx tbl.(s + 3) gs;
+        jadd ctx tbl.(s + 4) (-.gm);
+        jadd ctx tbl.(s + 5) (-.gds);
+        jadd ctx tbl.(s + 6) (-.gmb);
+        jadd ctx tbl.(s + 7) (-.gs);
+        if companions then begin
+          comp k gi si;
+          comp (k + 1) gi di;
+          comp (k + 2) gi bi;
+          comp (k + 3) di bi;
+          comp (k + 4) si bi
+        end)
+    sys.prog.elems;
+  for i = 0 to Array.length sys.dslots - 1 do
     ctx.f.(i) <- ctx.f.(i) +. (gmin *. ctx.x.(i));
-    let s = sp.dslots.(i) in
-    vals.(s) <- vals.(s) +. gmin
+    jadd ctx sys.dslots.(i) gmin
   done
 
-let mos proc kind ctx ~dev ~d ~g ~s ~b =
-  let vd = volt ctx d and vg = volt ctx g and vs = volt ctx s and vb = volt ctx b in
-  let bias = device_bias dev ~vd ~vg ~vs ~vb in
-  let p = Device.Mos.params proc dev in
-  (* deliberately the unmemoized entry point: Newton iterates produce a
-     fresh bias almost every call, so a memo here is all misses and LRU
-     churn; repetition across whole solves is captured by the coarse
-     memos (Monte Carlo samples, corner points, sizing results) *)
-  let e = Mdl.evaluate_exact kind p ~w:dev.Device.Mos.w ~l:dev.Device.Mos.l bias in
-  let sgn = Technology.Electrical.mos_type_sign dev.Device.Mos.mtype in
-  let id_phys = sgn *. e.Mdl.ids in
-  add_current ctx d id_phys;
-  add_current ctx s (-.id_phys);
-  (* dI_D/dvg = gm, /dvd = gds, /dvb = gmb, /dvs = -(gm + gds + gmb): the
-     polarity signs cancel, so the entries are identical for both types. *)
-  let gm = e.Mdl.gm and gds = e.Mdl.gds and gmb = e.Mdl.gmb in
-  let gs = -.(gm +. gds +. gmb) in
-  add_jac ctx d g gm; add_jac ctx d d gds; add_jac ctx d b gmb; add_jac ctx d s gs;
-  add_jac ctx s g (-.gm); add_jac ctx s d (-.gds); add_jac ctx s b (-.gmb);
-  add_jac ctx s s (-.gs)
+let run kind sys ctx ~gmin ~alpha =
+  walk kind sys ctx ~gmin ~value:(fun src -> alpha *. src.El.dc)
+    ~companions:false
+
+let run_tran kind sys ctx ~gmin ~time =
+  walk kind sys ctx ~gmin ~value:(fun src -> El.source_value src time)
+    ~companions:true
+
+(* Backward-Euler companions, i = (c/dt) (v - v_prev), linearised at the
+   previous time point: explicit capacitors always, each MOS cap pair
+   when its capacitance at the previous bias is positive. *)
+let refresh_companions kind sys ~dt ~prev =
+  let pv i = if i < 0 then 0.0 else prev.(i) in
+  let set k c =
+    let g = c /. dt in
+    sys.cg.(k) <- g;
+    sys.cx.(k) <- -.g *. (pv sys.prog.cp.(k) -. pv sys.prog.cn.(k));
+    sys.con.(k) <- true
+  in
+  let pair k c = if c > 0.0 then set k c else sys.con.(k) <- false in
+  Array.iter
+    (fun pe ->
+      match pe with
+      | P_cap { c; k; _ } -> set k c
+      | P_mos { dev; card; di; gi; si; bi; k; mc = Some mc; _ } ->
+        let bias = device_bias dev ~vd:(pv di) ~vg:(pv gi) ~vs:(pv si) ~vb:(pv bi) in
+        let r = 3 * region_index (Mdl.region kind card ~l:dev.Device.Mos.l bias) in
+        let junction ~area ~perim ~vrev =
+          Device.Caps.junction_cap ~cj:mc.jcard.E.cj ~cjsw:mc.jcard.E.cjsw
+            ~mj:mc.jcard.E.mj ~mjsw:mc.jcard.E.mjsw ~pb:mc.jcard.E.pb ~area
+            ~perim ~vrev
+        in
+        pair k mc.gate.(r);
+        pair (k + 1) mc.gate.(r + 1);
+        pair (k + 2) mc.gate.(r + 2);
+        pair (k + 3)
+          (junction ~area:mc.ad ~perim:mc.pd
+             ~vrev:(Float.abs (bias.Mdl.vds -. bias.Mdl.vbs)));
+        pair (k + 4)
+          (junction ~area:mc.as_ ~perim:mc.ps ~vrev:(Float.abs bias.Mdl.vbs))
+      | P_mos { mc = None; _ } | P_resistor _ | P_isource _ | P_vsource _ -> ())
+    sys.prog.elems

@@ -1,13 +1,17 @@
-(** Shared MNA stamping primitives for the nonlinear analyses (DC Newton
+(** Compiled MNA stamp programs for the nonlinear analyses (DC Newton
     and transient): residual accumulation (KCL currents leaving each node)
-    and Jacobian entries.  The AC analysis uses its own complex assembly.
+    and Jacobian entries, plus the linear solve of each Newton iterate.
+    The AC analysis uses its own complex assembly.
 
-    Two matrix backends sit behind the same stamping calls: the unboxed
-    flat-[floatarray] kernel matrix ({!Linalg.Dense_f}, the default hot
-    path, stamped into a reusable per-domain workspace) and the boxed
-    functor matrix ({!Linalg.Real}, the reference).  Both receive the
-    identical sequence of accumulations, so solver results agree
-    bit-for-bit between backends. *)
+    A circuit is compiled once per analysis into a {!prog} (node names
+    resolved to MNA indices, model cards and per-device cap constants
+    fetched), then bound to a backend's buffers as a {!system} whose
+    slot table maps every Jacobian write to its position: row-major in
+    the unboxed kernel matrix ({!Linalg.Dense_f}, the default hot path,
+    a reusable per-domain workspace) and in the boxed functor matrix
+    ({!Linalg.Real}, the reference), the CSR slot under [Sparse].  All
+    backends receive the identical sequence of accumulations, so [Kernel],
+    [Reference] and [Sparse Natural] agree bit-for-bit. *)
 
 type backend = Kernel | Reference | Sparse of Linalg.Sparse.ordering
 (** Solver backend selector threaded through the analyses: [Kernel] is the
@@ -44,102 +48,92 @@ type smat = { spat : Linalg.Sparse.pattern; svals : float array }
 (** A stamped sparse matrix: the natural-order CSR pattern of the
     circuit plus its slot-indexed value array. *)
 
-val smat_of_pattern : Linalg.Sparse.pattern -> smat
-
 type mat =
   | Unboxed of Linalg.Dense_f.t
   | Boxed of Linalg.Real.t
   | Csr of smat
 
 type ctx = {
-  idx : Indexing.t;
   jac : mat;
   f : float array;
   x : float array;  (** current iterate *)
 }
 
-val make : Indexing.t -> float array -> ctx
-(** Fresh zeroed boxed Jacobian and residual around iterate [x]
-    (the [Reference] backend). *)
-
-val make_ws : Indexing.t -> Linalg.Ws.real -> float array -> ctx
-(** Stamping context over a reusable workspace: clears the workspace
-    matrix and right-hand side and aliases them as [jac]/[f], so repeated
-    Newton iterates re-stamp the same buffers without allocating. *)
-
-val make_sparse : Indexing.t -> smat -> f:float array -> float array -> ctx
-(** Stamping context over a sparse matrix: clears the slot values and the
-    caller's residual buffer and aliases them, so repeated iterates
-    re-stamp the same arrays.  Name-based stamps resolve slots by binary
-    search; the compiled DC path uses {!run_sparse} with precomputed
-    slots. *)
-
-val volt : ctx -> string -> float
-val add_current : ctx -> string -> float -> unit
-(** Accumulate a current leaving the node into the residual. *)
-
-val add_jac : ctx -> string -> string -> float -> unit
-(** [add_jac ctx np nq v]: d(residual at np)/d(voltage at nq) += v;
-    silently skipped when either node is ground. *)
-
-val resistor : ctx -> p:string -> n:string -> r:float -> unit
-
-val conductor : ctx -> p:string -> n:string -> g:float -> i_extra:float -> unit
-(** Linear companion branch: current [g * (vp - vn) + i_extra] from [p] to
-    [n] — used for capacitor companions in transient analysis. *)
-
-val isource : ctx -> p:string -> n:string -> float -> unit
-(** DC current value flowing p -> n through the source. *)
-
-val vsource : ctx -> row:int -> p:string -> n:string -> float -> unit
-(** Ideal voltage source with branch-current unknown at [row]. *)
-
-val gmin_all : ctx -> float -> unit
-
 val device_bias :
   Device.Mos.t -> vd:float -> vg:float -> vs:float -> vb:float -> Device.Model.bias
 (** Internal-polarity bias of a MOS from its node voltages. *)
 
-val mos :
-  Technology.Process.t -> Device.Model.kind -> ctx ->
-  dev:Device.Mos.t -> d:string -> g:string -> s:string -> b:string -> unit
-(** Nonlinear MOS stamp: drain current residual plus gm/gds/gmb Jacobian
-    entries (polarity-independent, see the model documentation). *)
-
 type prog
-(** A compiled DC stamp program: the circuit walk with every node name
+(** A compiled stamp program: the circuit walk with every node name
     resolved to its MNA index and per-device model cards fetched once,
-    so Newton iterates perform no string-map lookups.  The program
-    replays the exact accumulation sequence of the name-based stamps
-    above (element order preserved, capacitors open), keeping both
-    backends bit-identical to the uncompiled walk. *)
+    so Newton iterates perform no string-map lookups.  Capacitors are
+    open at DC.  A transient program also records each capacitor and
+    each of the five MOS cap pairs (g-s, g-d, g-b, d-b, s-b) as a
+    backward-Euler companion, and the constants of each MOS's cap
+    linearisation (Meyer gate caps per region, junction card and
+    diffusion geometry). *)
 
-val compile : Technology.Process.t -> Indexing.t -> Netlist.Circuit.t -> prog
-(** Resolve the circuit against the indexing.  Raises like the
-    name-based stamps on unknown nodes. *)
+val compile :
+  ?transient:bool -> Technology.Process.t -> Indexing.t -> Netlist.Circuit.t -> prog
+(** Resolve the circuit against the indexing, for a DC analysis or, with
+    [transient] (default [false]), for a transient one.  Raises like
+    {!Indexing.vsource_index} on a voltage source it does not know. *)
 
-val run : Device.Model.kind -> prog -> ctx -> gmin:float -> alpha:float -> unit
-(** Stamp one Newton iterate: residual and Jacobian of the full circuit
-    at the context's [x], with all independent sources scaled by [alpha]
-    and [gmin] to ground on every node. *)
+val pattern : Indexing.t -> prog -> Linalg.Sparse.pattern
+(** Every Jacobian position a Newton iterate of the program can touch,
+    including the gmin node diagonals and, for a transient program,
+    every companion position — unconditionally, so the pattern stays
+    frozen for the whole run whatever the bias-dependent capacitances
+    do. *)
 
-val dc_pattern : Indexing.t -> prog -> Linalg.Sparse.pattern
-(** Every Jacobian position a DC Newton iterate of the program can
-    touch, including the gmin node diagonals. *)
+type system
+(** A program bound to one backend: its slot table, the iterate buffers
+    (the calling domain's {!Linalg.Ws} workspace under [Kernel], a CSR
+    value array and a numeric factor over the program's pattern under
+    [Sparse], whose symbolic analysis every iterate shares) and, for a
+    transient program, the companion state of the current step. *)
 
-val tran_pattern : Indexing.t -> Netlist.Circuit.t -> Linalg.Sparse.pattern
-(** The DC positions plus every backward-Euler companion position
-    (capacitor quads and the five MOS cap pairs), frozen for a whole
-    transient run regardless of bias-dependent capacitance values. *)
+val system : backend -> Indexing.t -> prog -> system
+(** Bind a program: its slot table and, under [Sparse], the symbolic
+    analysis of its {!pattern}. *)
 
-type sprog
-(** A slot-resolved stamp program: every Jacobian write of {!run} mapped
-    to its CSR slot at compile time. *)
+val iterate : system -> float array -> ctx
+(** A zeroed stamping context around iterate [x] over the system's
+    buffers: repeated iterates re-stamp the same arrays ([Reference]
+    allocates a fresh boxed matrix per iterate). *)
 
-val compile_slots : Linalg.Sparse.pattern -> Indexing.t -> prog -> sprog
+val run : Device.Model.kind -> system -> ctx -> gmin:float -> alpha:float -> unit
+(** Stamp one DC Newton iterate: residual and Jacobian of the full
+    circuit at the context's [x], with every independent source at its
+    DC value scaled by [alpha], capacitors open and [gmin] to ground on
+    every node. *)
 
-val run_sparse :
-  Device.Model.kind -> sprog -> ctx -> gmin:float -> alpha:float -> unit
-(** The sparse twin of {!run} over a [Csr] context: identical element
-    order and floating-point sequence, with each Jacobian accumulation
-    landing on its precomputed slot (zero lookups in the hot loop). *)
+val refresh_companions :
+  Device.Model.kind -> system -> dt:float -> prev:float array -> unit
+(** Linearise a transient program's capacitors for the step after the
+    accepted point [prev]: every companion gets [g = c/dt] and
+    [i_extra = -g vprev], with MOS capacitances taken at [prev]'s bias
+    (region by
+    {!Device.Model.region}, junctions at its reverse biases) and a MOS
+    pair left out of the step when its capacitance is not positive.
+    Called once per time step, not per Newton iterate. *)
+
+val run_tran : Device.Model.kind -> system -> ctx -> gmin:float -> time:float -> unit
+(** Stamp one Newton iterate of a transient program at [time]: the
+    {!run} walk with sources at their [wave time] value (DC value when
+    they have none),
+    each capacitor's companion in element order and each MOS's five
+    companions right after its drain-current stamp, gmin last.  This
+    order is part of the contract: it fixes the floating-point sum at
+    every Jacobian position, and the pinned results depend on it. *)
+
+val solve : system -> ctx -> float array
+(** Solve the stamped iterate for the Newton update [J delta = -f]:
+    in-place LU into the workspace under [Kernel], a boxed solve under
+    [Reference], a numeric refactor over the frozen pattern under
+    [Sparse].  Under [Sparse Min_degree] a numerically failed static
+    pivot order (zero pivot, non-finite update) is retried under the
+    pivoting natural order of the same pattern, counted as
+    [sim.dcop.pivot_fallbacks] or [sim.tran.pivot_fallbacks].  The
+    returned array is the system's buffer, valid until the next solve.
+    Raises [Linalg.Singular]. *)

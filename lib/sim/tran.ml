@@ -1,6 +1,4 @@
-module R = Linalg.Real
 module El = Netlist.Element
-module SM = Map.Make (String)
 
 type result = {
   ts : float array;
@@ -8,121 +6,22 @@ type result = {
   states : float array array; (* states.(step).(unknown) *)
 }
 
-let source_value (s : El.source) t =
-  match s.El.wave with Some w -> w t | None -> s.El.dc
-
-(* Backward-Euler companion: i = (c/dt) (v - v_prev). *)
-let cap_companion ctx ~p ~n ~c ~dt ~vprev =
-  let g = c /. dt in
-  Stamps.conductor ctx ~p ~n ~g ~i_extra:(-.g *. vprev)
-
-let build proc kind circuit idx ~gmin ~time ~dt ~prev ctx =
-  let prev_volt node =
-    match Indexing.node_index idx node with None -> 0.0 | Some i -> prev.(i)
-  in
-  let stamp_elem = function
-    | El.Resistor { p; n; r; _ } -> Stamps.resistor ctx ~p ~n ~r
-    | El.Capacitor { p; n; c; _ } ->
-      cap_companion ctx ~p ~n ~c ~dt ~vprev:(prev_volt p -. prev_volt n)
-    | El.Isource { p; n; i; _ } -> Stamps.isource ctx ~p ~n (source_value i time)
-    | El.Vsource { name; p; n; v; _ } ->
-      let row = Indexing.vsource_index idx name in
-      Stamps.vsource ctx ~row ~p ~n (source_value v time)
-    | El.Mos { dev; d; g; s; b } ->
-      Stamps.mos proc kind ctx ~dev ~d ~g ~s ~b;
-      (* Device capacitances linearised at the previous time point. *)
-      let bias =
-        Stamps.device_bias dev ~vd:(prev_volt d) ~vg:(prev_volt g)
-          ~vs:(prev_volt s) ~vb:(prev_volt b)
-      in
-      let op = Device.Op.compute proc kind dev bias in
-      let cc = op.Device.Op.caps in
-      let pair p n c =
-        if c > 0.0 then cap_companion ctx ~p ~n ~c ~dt ~vprev:(prev_volt p -. prev_volt n)
-      in
-      pair g s cc.Device.Caps.cgs;
-      pair g d cc.Device.Caps.cgd;
-      pair g b cc.Device.Caps.cgb;
-      pair d b cc.Device.Caps.cdb;
-      pair s b cc.Device.Caps.csb
-  in
-  List.iter stamp_elem (Netlist.Circuit.elements circuit);
-  Stamps.gmin_all ctx gmin
-
 let max_abs a = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 a
 
-let newton_step backend sparse proc kind circuit idx ~gmin ~time ~dt ~prev x0 =
-  let n = Indexing.size idx in
+(* One backward-Euler step: Newton from the previous point with the
+   step's companions already refreshed.  Returns the new point and the
+   iterations it took. *)
+let newton_step kind sys ~gmin ~time x0 =
   let x = Array.copy x0 in
-  let ws =
-    match backend with
-    | Stamps.Kernel -> Some (Linalg.Ws.real n)
-    | Stamps.Reference | Stamps.Sparse _ -> None
-  in
   let rec loop iter =
     if iter >= 80 then
       raise (Phys.Numerics.No_convergence
                (Printf.sprintf "Tran: Newton failed at t=%g" time))
     else begin
-      let ctx =
-        match ws, sparse with
-        | Some w, _ -> Stamps.make_ws idx w x
-        | None, Some (sm, _) ->
-          Stamps.make_sparse idx sm ~f:(Linalg.Ws.sparse_real n).Linalg.Ws.srhs
-            x
-        | None, None -> Stamps.make idx x
-      in
-      build proc kind circuit idx ~gmin ~time ~dt ~prev ctx;
-      let f = ctx.Stamps.f in
+      let ctx = Stamps.iterate sys x in
+      Stamps.run_tran kind sys ctx ~gmin ~time;
       let delta =
-        try
-          match ctx.Stamps.jac, ws with
-          | Stamps.Unboxed m, Some w ->
-            for i = 0 to n - 1 do
-              Array.unsafe_set f i (-.(Array.unsafe_get f i))
-            done;
-            Linalg.Dense_f.lu_factor_in_place m ~piv:w.Linalg.Ws.piv;
-            Linalg.Dense_f.lu_solve_into m ~piv:w.Linalg.Ws.piv
-              ~b:w.Linalg.Ws.rhs ~x:w.Linalg.Ws.delta;
-            w.Linalg.Ws.delta
-          | Stamps.Boxed m, _ -> R.solve m (Array.map (fun v -> -.v) f)
-          | Stamps.Csr sm, _ ->
-            let fact =
-              match sparse with Some (_, fact) -> fact | None -> assert false
-            in
-            for i = 0 to n - 1 do
-              Array.unsafe_set f i (-.(Array.unsafe_get f i))
-            done;
-            let sws = Linalg.Ws.sparse_real n in
-            let fallback () =
-              (* the static pivot order failed numerically at this
-                 iterate — a zero pivot (e.g. exact cancellation across a
-                 0 V feedback source) or overflow through a tiny one;
-                 retry the same values under the pivoting natural-order
-                 factor of the same pattern *)
-              if (Obs.Config.enabled ()) then
-                Obs.Metrics.incr "sim.tran.pivot_fallbacks";
-              let nfact =
-                Linalg.Sparse.Real.create
-                  (Linalg.Sparse.symbolic Linalg.Sparse.Natural
-                     sm.Stamps.spat)
-              in
-              Linalg.Sparse.Real.refactor nfact ~vals:sm.Stamps.svals;
-              Linalg.Sparse.Real.solve_into nfact ~b:f
-                ~x:sws.Linalg.Ws.sdelta
-            in
-            let is_md = backend = Stamps.Sparse Linalg.Sparse.Min_degree in
-            (try
-               Linalg.Sparse.Real.refactor fact ~vals:sm.Stamps.svals;
-               Linalg.Sparse.Real.solve_into fact ~b:f
-                 ~x:sws.Linalg.Ws.sdelta
-             with Linalg.Singular _ when is_md -> fallback ());
-            if is_md
-               && not
-                    (Array.for_all Float.is_finite sws.Linalg.Ws.sdelta)
-            then fallback ();
-            sws.Linalg.Ws.sdelta
-          | Stamps.Unboxed _, None -> assert false
+        try Stamps.solve sys ctx
         with Linalg.Singular _ ->
           raise (Phys.Numerics.No_convergence
                    (Printf.sprintf "Tran: singular Jacobian at t=%g" time))
@@ -130,7 +29,7 @@ let newton_step backend sparse proc kind circuit idx ~gmin ~time ~dt ~prev x0 =
       let m = max_abs delta in
       let scale = if m > 0.5 then 0.5 /. m else 1.0 in
       Array.iteri (fun i d -> x.(i) <- x.(i) +. scale *. d) delta;
-      if m *. scale < 1e-9 then x else loop (iter + 1)
+      if m *. scale < 1e-9 then (x, iter + 1) else loop (iter + 1)
     end
   in
   loop 0
@@ -138,7 +37,7 @@ let newton_step backend sparse proc kind circuit idx ~gmin ~time ~dt ~prev x0 =
 (* The DC operating point at t = 0 uses the waveform values at time 0
    rather than the DC fields. *)
 let circuit_at_t0 circuit =
-  let freeze (s : El.source) = { s with El.dc = source_value s 0.0 } in
+  let freeze (s : El.source) = { s with El.dc = El.source_value s 0.0 } in
   let rewrite = function
     | El.Isource ({ i; _ } as r) -> El.Isource { r with i = freeze i }
     | El.Vsource ({ v; _ } as r) -> El.Vsource { r with v = freeze v }
@@ -149,25 +48,21 @@ let circuit_at_t0 circuit =
     (Netlist.Circuit.create ~title:(Netlist.Circuit.title circuit))
     (Netlist.Circuit.elements circuit)
 
-let run ?backend ?dt ?(guess = fun _ -> None) ?(gmin = 1e-12) ~proc ~kind
-    ~tstop circuit =
+let run ?backend ?dt ?(guess = fun _ -> None) ?(gmin = 1e-12) ?stop ~proc
+    ~kind ~tstop circuit =
   assert (tstop > 0.0);
   let backend =
     match backend with Some b -> b | None -> Stamps.default_backend ()
   in
   let dt = match dt with Some d -> d | None -> tstop /. 2000.0 in
   let n_steps = int_of_float (Float.ceil (tstop /. dt)) in
+  let obs = Obs.Config.enabled () in
+  let t0 = if obs then Obs.Clock.monotonic_us () else 0.0 in
+  Obs.Trace.with_span ~cat:"sim" "tran.run" @@ fun () ->
   let dc = Dcop.solve ~backend ~guess ~gmin ~proc ~kind (circuit_at_t0 circuit) in
   let idx = Dcop.indexing dc in
-  (* The companion pattern is bias-independent, so the symbolic analysis
-     is shared by every Newton iterate of every time step. *)
-  let sparse =
-    match backend with
-    | Stamps.Sparse ordering ->
-      let pat = Stamps.tran_pattern idx circuit in
-      let sym = Linalg.Sparse.symbolic ordering pat in
-      Some (Stamps.smat_of_pattern pat, Linalg.Sparse.Real.create sym)
-    | Stamps.Kernel | Stamps.Reference -> None
+  let sys =
+    Stamps.system backend idx (Stamps.compile ~transient:true proc idx circuit)
   in
   let x0 =
     Array.init (Indexing.size idx) (fun i ->
@@ -175,19 +70,45 @@ let run ?backend ?dt ?(guess = fun _ -> None) ?(gmin = 1e-12) ~proc ~kind
         Dcop.voltage dc (Indexing.node_names idx).(i)
       else 0.0)
   in
+  let stopped =
+    match stop with
+    | None -> fun _ _ -> false
+    | Some (node, p) ->
+      (match Indexing.node_index idx node with
+       | None -> fun t _ -> p t 0.0
+       | Some i -> fun t x -> p t x.(i))
+  in
   let states = Array.make (n_steps + 1) x0 in
   let ts = Array.init (n_steps + 1) (fun i -> float_of_int i *. dt) in
-  let prev = ref x0 in
-  for step = 1 to n_steps do
-    let time = ts.(step) in
-    let x =
-      newton_step backend sparse proc kind circuit idx ~gmin ~time ~dt
-        ~prev:!prev !prev
-    in
-    states.(step) <- x;
-    prev := x
-  done;
-  { ts; idx; states }
+  let iters = ref 0 in
+  (* the companions depend only on the accepted previous point, so they
+     are linearised once per step, not per Newton iterate *)
+  let rec integrate step prev =
+    if step > n_steps then n_steps
+    else begin
+      let time = ts.(step) in
+      Stamps.refresh_companions kind sys ~dt ~prev;
+      let x, it = newton_step kind sys ~gmin ~time prev in
+      iters := !iters + it;
+      states.(step) <- x;
+      if stopped time x then step else integrate (step + 1) x
+    end
+  in
+  let last = integrate 1 x0 in
+  if obs then begin
+    Obs.Metrics.add "sim.tran.steps" (float_of_int last);
+    Obs.Metrics.add "sim.tran.newton_iters" (float_of_int !iters);
+    Obs.Metrics.add "sim.tran.steps_saved" (float_of_int (n_steps - last));
+    Obs.Metrics.observe "sim.tran.run_us" (Obs.Clock.monotonic_us () -. t0);
+    Obs.Trace.add_arg "steps" (Obs.Trace.Int last);
+    Obs.Trace.add_arg "newton_iters" (Obs.Trace.Int !iters);
+    Obs.Trace.add_arg "steps_saved" (Obs.Trace.Int (n_steps - last))
+  end;
+  if last = n_steps then { ts; idx; states }
+  else
+    { ts = Array.sub ts 0 (last + 1);
+      idx;
+      states = Array.sub states 0 (last + 1) }
 
 let times r = r.ts
 
@@ -197,9 +118,12 @@ let waveform r node =
   | Some i -> Array.map (fun s -> s.(i)) r.states
 
 let value_at r node t =
-  let w = waveform r node in
-  let pts = Array.mapi (fun i v -> (r.ts.(i), v)) w in
-  Phys.Numerics.interp_linear pts t
+  let y =
+    match Indexing.node_index r.idx node with
+    | None -> fun _ -> 0.0
+    | Some k -> fun i -> r.states.(i).(k)
+  in
+  Phys.Numerics.interp_linear_by ~n:(Array.length r.ts) ~x:(Array.get r.ts) ~y t
 
 let max_slope r node =
   let w = waveform r node in

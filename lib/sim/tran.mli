@@ -4,8 +4,26 @@
     time point (adequate for the slew-rate and settling measurements this
     library needs, where the load capacitor dominates).
 
+    The circuit is compiled once per run into a {!Stamps.prog} bound to
+    the backend as a transient {!Stamps.system}: node indices, model
+    cards, per-device cap constants and, under [Sparse], the CSR slot of
+    every Jacobian write are resolved before the first step.  Each step
+    then refreshes the capacitor companions ([g = c/dt],
+    [i_extra = -g vprev], MOS regions and junction biases at the previous
+    point) once, and every Newton iterate of the step only replays the
+    compiled stamps and solves.  The accumulation order is that of an
+    element-by-element walk (each MOS followed by its g-s, g-d, g-b, d-b,
+    s-b companions, gmin last), so results at a fixed [dt] do not depend
+    on the compilation.
+
     Sources follow their [wave] function when present, their DC value
-    otherwise. *)
+    otherwise.
+
+    Telemetry (when enabled): a [tran.run] span (category [sim]) around
+    the run, the counters [sim.tran.steps], [sim.tran.newton_iters] and
+    [sim.tran.steps_saved] (steps skipped by a [stop]), and the
+    [sim.tran.run_us] histogram.  Results are identical with telemetry
+    on or off. *)
 
 type result
 
@@ -14,6 +32,7 @@ val run :
   ?dt:float ->
   ?guess:(string -> float option) ->
   ?gmin:float ->
+  ?stop:string * (float -> float -> bool) ->
   proc:Technology.Process.t ->
   kind:Device.Model.kind ->
   tstop:float ->
@@ -27,14 +46,24 @@ val run :
     computed once and numerically refactored at every Newton iterate of
     every step.  [gmin] (default [1e-12]) is the conductance to ground
     stamped on every node, both at the t = 0 operating point and during
-    integration. *)
+    integration.
+
+    [stop = (node, p)] is a measurement-aware early stop: after each
+    accepted step at time [t], with [v] the node's voltage there
+    (ground reads 0), the run ends if [p t v] holds.  The predicate is
+    called once per step, in time order, so it may keep state.  A
+    stopped result holds the points up to and including that step and
+    is a bit-identical prefix of the unstopped run; if [p] never holds,
+    the run ends at [tstop] as without [stop]. *)
 
 val times : result -> float array
 val waveform : result -> string -> float array
 (** Node voltage waveform.  Raises [Invalid_argument] on unknown nodes. *)
 
 val value_at : result -> string -> float -> float
-(** Linear interpolation of a node waveform at an arbitrary time. *)
+(** Linear interpolation of a node waveform at an arbitrary time (held
+    at the end values outside the simulated interval), by binary search
+    over the time points without materialising the waveform. *)
 
 val max_slope : result -> string -> float * float
 (** [(rising, falling)] maximum d v/d t magnitudes of a node waveform, V/s

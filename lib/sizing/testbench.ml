@@ -117,43 +117,48 @@ let slew_rate t =
   let c = Ckt.add_vsource c ~name:"fb" ~p:"inn" ~n:"out" (El.dc_source 0.0) in
   let c = Ckt.add_capacitor c ~name:"load" ~p:"out" ~n:El.ground ~c:spec.Spec.cload in
   let extra = [ ("vdd", spec.Spec.vdd); ("inp", v1); ("inn", v1); ("out", v1) ] in
-  let res =
-    Sim.Tran.run ~proc:t.proc ~kind:t.kind ~tstop ~dt:(t_slew /. 200.0)
-      ~guess:(Amp.guess_fn amp ~extra) c
-  in
   (* 10-90% edge timing rejects the capacitive feedthrough spike that a
-     raw max-slope measurement would report *)
-  let ts = Sim.Tran.times res in
-  let w = Sim.Tran.waveform res "out" in
-  let crossing ~from_i ~level ~falling =
-    let n = Array.length w in
-    let rec go i =
-      if i >= n then None
-      else if (falling && w.(i) <= level) || ((not falling) && w.(i) >= level)
-      then Some ts.(i)
-      else go (i + 1)
-    in
-    go from_i
-  in
-  let idx_of tm =
-    let rec go i = if i >= Array.length ts || ts.(i) >= tm then i else go (i + 1) in
-    go 0
-  in
+     raw max-slope measurement would report.  Each edge is timed on the
+     accepted points as the run produces them: it starts at the first
+     point at or after [start] past its first level and ends at the first
+     point from there on past its second level.  Once both edges have
+     ended no later point can change the measurement, so the run stops. *)
   let dv = v1 -. v0 in
   let edge ~start ~falling =
-    let hi_level = if falling then v1 -. (0.1 *. dv) else v0 +. (0.9 *. dv) in
-    let lo_level = if falling then v1 -. (0.9 *. dv) else v0 +. (0.1 *. dv) in
-    let first = if falling then hi_level else lo_level in
-    let second = if falling then lo_level else hi_level in
-    match crossing ~from_i:(idx_of start) ~level:first ~falling with
-    | None -> None
-    | Some ta ->
-      (match crossing ~from_i:(idx_of ta) ~level:second ~falling with
-       | None -> None
-       | Some tb when tb > ta -> Some (0.8 *. dv /. (tb -. ta))
-       | Some _ -> None)
+    let first, second =
+      if falling then (v1 -. (0.1 *. dv), v1 -. (0.9 *. dv))
+      else (v0 +. (0.1 *. dv), v0 +. (0.9 *. dv))
+    in
+    let past level v = if falling then v <= level else v >= level in
+    let ta = ref None and tb = ref None in
+    let feed tm v =
+      (match !ta with
+       | None -> if tm >= start && past first v then ta := Some tm
+       | Some _ -> ());
+      (match (!ta, !tb) with
+       | Some _, None -> if past second v then tb := Some tm
+       | _ -> ());
+      Option.is_some !tb
+    in
+    let rate () =
+      match (!ta, !tb) with
+      | Some a, Some b when b > a -> Some (0.8 *. dv /. (b -. a))
+      | _ -> None
+    in
+    (feed, rate)
   in
-  match (edge ~start:t1 ~falling:true, edge ~start:t2 ~falling:false) with
+  let fall, fall_rate = edge ~start:t1 ~falling:true
+  and rise, rise_rate = edge ~start:t2 ~falling:false in
+  (* both edges see every point: no short-circuit *)
+  let stop tm v =
+    let f = fall tm v in
+    let r = rise tm v in
+    f && r
+  in
+  ignore
+    (Sim.Tran.run ~proc:t.proc ~kind:t.kind ~tstop ~dt:(t_slew /. 200.0)
+       ~stop:("out", stop) ~guess:(Amp.guess_fn amp ~extra) c);
+  match (fall_rate (), rise_rate ()) with
   | Some f, Some r -> Float.min f r
   | Some s, None | None, Some s -> s
   | None, None -> Float.nan
@@ -205,6 +210,10 @@ let performance_exact t =
 let performance t =
   Cache.Memo.find_or_compute performance_memo (t.proc, t.kind, t.spec, t.amp)
     (fun () -> performance_exact t)
+
+let measure ~proc ~kind ~spec amp =
+  Cache.Memo.find_or_compute performance_memo (proc, kind, spec, amp)
+    (fun () -> performance_exact (make ~proc ~kind ~spec amp))
 
 let operating_point t = t.dc
 

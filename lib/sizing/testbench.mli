@@ -25,8 +25,12 @@ val cmrr : t -> float
 (** Linear ratio Adm / Acm at low frequency. *)
 
 val slew_rate : t -> float
-(** Worst of rising/falling maximum output slope in the unity-gain step
-    bench, V/s. *)
+(** Worst of the falling and rising 10-90% output edge rates in the
+    unity-gain step bench, V/s.  The edges are timed as the transient
+    runs, and the run ends at the step where both have crossed their 90%
+    level ({!Sim.Tran.run}'s [stop]) rather than at its full [tstop]: the
+    stopped waveform is a bit-identical prefix of the full one and holds
+    both crossings, so the measurement is the same. *)
 
 val input_noise_density : t -> freq:float -> float
 (** Input-referred voltage noise density at [freq], V/sqrt(Hz). *)
@@ -54,6 +58,15 @@ val performance : t -> Performance.t
     (process, kind, spec, amp): repeated measurements of the same amp —
     the flow's synthesized/extracted checks, warm benchmark re-runs —
     return the cached record, bit-identical to recomputation. *)
+
+val measure :
+  proc:Technology.Process.t ->
+  kind:Device.Model.kind ->
+  spec:Spec.t ->
+  Amp.t -> Performance.t
+(** [performance (make ~proc ~kind ~spec amp)], with the memo consulted
+    before the bench is built: a hit skips the offset nulling and the
+    bench operating points as well as the measurements. *)
 
 val operating_point : t -> Sim.Dcop.t
 (** The offset-nulled differential-bench operating point (for reports). *)

@@ -104,11 +104,17 @@ let test_flow_bit_identity () =
     Cache.Config.with_enabled true @@ fun () ->
     Flow.run ~proc ~kind ~spec Flow.Case2
   in
-  (* a second cached run, now answered from warm memos *)
+  (* a second cached run, now answered from warm memos: the verification
+     benches are not even built (no operating point is solved) *)
+  let solves () = Obs.Metrics.counter "sim.dcop.solves" in
+  let solves_before = solves () in
   let warm =
+    Obs.Config.with_enabled true @@ fun () ->
     Cache.Config.with_enabled true @@ fun () ->
     Flow.run ~proc ~kind ~spec Flow.Case2
   in
+  Alcotest.(check (float 0.0)) "warm rerun solves no operating point" 0.0
+    (solves () -. solves_before);
   let uncached =
     Cache.Config.with_enabled false @@ fun () ->
     Flow.run ~proc ~kind ~spec Flow.Case2

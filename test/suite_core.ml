@@ -183,6 +183,86 @@ let test_sparse_flow_identity () =
   Alcotest.(check bool) "sparse-natural flow == kernel flow" true
     (compare (strip_elapsed k) (strip_elapsed s) = 0)
 
+(* --- bit-identity pins ---------------------------------------------------- *)
+
+(* [Int64.bits_of_float] of the case-4 synthesized and extracted
+   performance records (paper OTA spec, kernel backend, fields in record
+   order), recorded from the name-based, full-length fixed-step transient
+   that the compiled, early-stopping one replaced.  A change to the
+   simulator's arithmetic or the slew bench's stop shows up here. *)
+let case4_pins =
+  [
+    ( P.c06, Device.Model.Level1,
+      [|
+         0x4052aa134867a1a0L; 0x418ef00a7a7f675dL; 0x4051233deea6b307L;
+         0x418a8050ab2c6396L; 0x405c5e6521db7b17L; 0xbf1e0bb925160258L;
+         0x414f16ce61ea7ef5L; 0x3f123d99ef77f41aL; 0x3e41113a11d151f9L;
+         0x3edda7f8ec794b7bL; 0x3f610b7c422de269L |],
+      [|
+         0x4052cd9f4b0616ebL; 0x418f03c810580cd9L; 0x4050c5b157206326L;
+         0x418a8050ab2c6396L; 0x405c7c0e062ec8f6L; 0xbf1c1f875c682fd9L;
+         0x41508022b97aec46L; 0x3f123a2f9440f56fL; 0x3e41075e44ad071bL;
+         0x3edd96f90618e502L; 0x3f61265daeb4824dL |] );
+    ( P.c06, Device.Model.Bsim_lite,
+      [|
+         0x4051fe068a392d5cL; 0x418ef9efcb8e702bL; 0x405139325ddad9f1L;
+         0x418ad640cb3dfa1aL; 0x405bdbd64c046accL; 0xbf2487ec85288ce0L;
+         0x4146d378e6868df9L; 0x3f123b0d18c41626L; 0x3e4101cf645278deL;
+         0x3ede1002c5d2b988L; 0x3f6183279d225a76L |],
+      [|
+         0x4051f994e7173a9aL; 0x418f1c5353c12c0cL; 0x40513a910f257764L;
+         0x418aeef75ba0bb78L; 0x405bdbbee8fb51ceL; 0xbf24c4e86f78ce2aL;
+         0x414689a0dcdd3c08L; 0x3f1247fbc19afd9aL; 0x3e4105c1882dee5aL;
+         0x3ede16b942eb2309L; 0x3f61b4fdd1f4f948L |] );
+    ( P.c035, Device.Model.Level1,
+      [|
+         0x40558a045732b93dL; 0x418efcb88395085bL; 0x40532908706a0077L;
+         0x4190562379639588L; 0x405e9b9f5cf64a17L; 0xbf0535be4729ba55L;
+         0x416e6795acc97189L; 0x3f1252070c7caa1bL; 0x3e415ffe7ec9ab4bL;
+         0x3edbc16a35130e7eL; 0x3f60468c8c3bb1c4L |],
+      [|
+         0x40557b77be3e65acL; 0x418f498d8b5a5242L; 0x40532dd9e24c2e50L;
+         0x4190562379639588L; 0x405e92a21292181aL; 0xbf05cd9d22c34d5dL;
+         0x416d560c5d512003L; 0x3f126887b35dfa92L; 0x3e41624357495464L;
+         0x3edbc71121deb4c8L; 0x3f609d897abae667L |] );
+    ( P.c035, Device.Model.Bsim_lite,
+      [|
+         0x405564464ec688eeL; 0x418efc205b625f24L; 0x4052cb08a7fc8995L;
+         0x4190b7e434d5d98bL; 0x405e9e6ec0dfb39fL; 0xbf06c110be5ee0b4L;
+         0x416c47303bf87722L; 0x3f123caf939ae8f0L; 0x3e413df54dd9b6b2L;
+         0x3edc22d26ee53d9cL; 0x3f60e3ff2abf0358L |],
+      [|
+         0x4055607630d36ac8L; 0x418f199543dbd0ccL; 0x4052cc705d45c933L;
+         0x4190cbcc435e957cL; 0x405e9ac57f2609b2L; 0xbf06ef8900938e1eL;
+         0x416bfacb2f0d7f32L; 0x3f124455d5e64c7aL; 0x3e413dfc0c698141L;
+         0x3edc2310ac6a6eb9L; 0x3f6104661b257e8bL |] );
+  ]
+
+let perf_bits (p : Perf.t) =
+  Array.map Int64.bits_of_float
+    Perf.[| p.dc_gain_db; p.gbw; p.phase_margin; p.slew_rate; p.cmrr_db;
+            p.offset; p.output_resistance; p.input_noise;
+            p.thermal_noise_density; p.flicker_noise_density; p.power |]
+
+let label proc kind =
+  Printf.sprintf "%s %s" proc.P.name (Device.Model.kind_to_string kind)
+
+(* Case 4 on each pinned technology and model, memos off so every run
+   simulates; under the kernel backend, since the suite also runs with
+   the sparse ones as default. *)
+let test_case4_pins () =
+  Sim.Stamps.with_default_backend Sim.Stamps.Kernel @@ fun () ->
+  Cache.Config.with_enabled false @@ fun () ->
+  List.iter
+    (fun (proc, kind, synth, extr) ->
+      let r = Flow.run ~proc ~kind ~spec Flow.Case4 in
+      let l = label proc kind in
+      Alcotest.(check (array int64)) (l ^ " synthesized") synth
+        (perf_bits r.Flow.synthesized);
+      Alcotest.(check (array int64)) (l ^ " extracted") extr
+        (perf_bits r.Flow.extracted))
+    case4_pins
+
 (* --- traditional flow --------------------------------------------------------- *)
 
 let test_traditional_flow () =
@@ -211,5 +291,6 @@ let suite =
       case "extracted netlist details" test_extracted_amp_details;
       case "layout report sanity" test_layout_report_sanity;
       case "sparse backend flow identity" test_sparse_flow_identity;
+      case "case-4 performance bits pinned" test_case4_pins;
       case "traditional flow comparison" test_traditional_flow;
     ] )

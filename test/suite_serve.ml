@@ -451,12 +451,18 @@ let test_shutdown_drains () =
   in
   let c = Serve.Client.connect path in
   Serve.Client.submit c (P.request ~id:21 (P.Sleep { seconds = 0.3 }));
-  Thread.delay 0.05;
-  (* stop() blocks until the admitted job has answered *)
-  Serve.Server.stop server;
-  Alcotest.(check int) "the in-flight job completed" 1
-    (Serve.Server.jobs_done server);
-  let r = Serve.Client.await c 21 in
+  (* stop once the job is known to be running, not after a guessed
+     delay; stop() blocks until the admitted job has answered, and the
+     final stays buffered on the socket until [await] reads it *)
+  let done_at_stop = ref (-1) in
+  let r =
+    Serve.Client.await c 21 ~on_event:(function
+      | P.Started { rid = 21 } ->
+        Serve.Server.stop server;
+        done_at_stop := Serve.Server.jobs_done server
+      | _ -> ())
+  in
+  Alcotest.(check int) "the in-flight job completed" 1 !done_at_stop;
   (match r.P.status with
    | P.Done -> ()
    | s -> Alcotest.failf "drained job failed: %s" (P.status_string s));

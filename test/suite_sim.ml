@@ -575,6 +575,102 @@ let prop_sparse_tran_min_degree_close =
           (Sim.Tran.waveform s out)
       | _ -> true)
 
+(* --- compiled transient: stop predicate, telemetry, interpolation -------- *)
+
+let rc_step_circuit () =
+  let step t = if t <= 0.0 then 0.0 else 1.0 in
+  Ckt.create ~title:"rc step"
+  |> fun c -> Ckt.add_vsource c ~name:"in" ~p:"in" ~n:"0" (El.wave_source step)
+  |> fun c -> Ckt.add_resistor c ~name:"1" ~p:"in" ~n:"out" ~r:1e3
+  |> fun c -> Ckt.add_capacitor c ~name:"1" ~p:"out" ~n:"0" ~c:1e-9
+
+let test_value_at_matches_interp () =
+  let tau = 1e-6 in
+  let res =
+    Sim.Tran.run ~proc:P.c06 ~kind:M.Level1 ~tstop:(5.0 *. tau)
+      ~dt:(tau /. 400.0) (rc_step_circuit ())
+  in
+  let ts = Sim.Tran.times res in
+  let tend = ts.(Array.length ts - 1) in
+  let probes =
+    [ -1e-9; 0.0; tau; 5.0 *. tau; 6.0 *. tau; ts.(7); ts.(7) +. 1e-12 ]
+    @ List.init 200 (fun i -> float_of_int i *. tend /. 199.0 *. 1.003)
+  in
+  List.iter
+    (fun node ->
+      let w = Sim.Tran.waveform res node in
+      let pts = Array.mapi (fun i v -> (ts.(i), v)) w in
+      List.iter
+        (fun t ->
+          if not (bits_eq (Phys.Numerics.interp_linear pts t)
+                    (Sim.Tran.value_at res node t))
+          then Alcotest.failf "value_at %s %g differs from interp_linear" node t)
+        probes)
+    [ "out"; "in"; "0" ]
+
+let tran_counters () =
+  List.map Obs.Metrics.counter
+    [ "sim.tran.steps"; "sim.tran.newton_iters"; "sim.tran.steps_saved" ]
+
+let test_tran_telemetry_identity () =
+  let c = rc_step_circuit () in
+  (* stop once the output has passed 90% of the step *)
+  let run ?stop () = Sim.Tran.run ~proc:P.c06 ~kind:M.Level1 ~tstop:5e-6 ~dt:1e-8 ?stop c in
+  let run_stopped () = run ~stop:("out", fun _ v -> v >= 0.9) () in
+  let full_steps = Array.length (Sim.Tran.times (run ())) - 1 in
+  let off = Obs.Config.with_enabled false run_stopped in
+  let before = tran_counters () in
+  let runs_before =
+    match Obs.Metrics.hist_stats "sim.tran.run_us" with
+    | Some h -> h.Obs.Metrics.count
+    | None -> 0
+  in
+  let on = Obs.Config.with_enabled true run_stopped in
+  let deltas = List.map2 ( -. ) (tran_counters ()) before in
+  Alcotest.(check bool) "waveforms bit-identical with telemetry on and off"
+    true
+    (Array.for_all2 bits_eq (Sim.Tran.waveform off "out")
+       (Sim.Tran.waveform on "out"));
+  let steps = Array.length (Sim.Tran.times on) - 1 in
+  Alcotest.(check bool) "stopped before tstop" true (steps < full_steps);
+  (match deltas with
+   | [ d_steps; d_iters; d_saved ] ->
+     check_close "steps counted" (float_of_int steps) d_steps;
+     check_close "saved steps counted" (float_of_int (full_steps - steps)) d_saved;
+     Alcotest.(check bool) "a Newton iterate per step at least" true
+       (d_iters >= d_steps)
+   | _ -> assert false);
+  match Obs.Metrics.hist_stats "sim.tran.run_us" with
+  | Some h -> Alcotest.(check int) "one run observed" (runs_before + 1) h.Obs.Metrics.count
+  | None -> Alcotest.fail "no sim.tran.run_us histogram"
+
+let prop_tran_stop_prefix =
+  QCheck.Test.make ~count:20
+    ~name:"a stopped transient is a bit-identical prefix of the full run"
+    QCheck.(pair (int_range 2 12) (int_range 0 100000))
+    (fun (nodes, seed) ->
+      Sim.Stamps.with_default_backend Sim.Stamps.Kernel @@ fun () ->
+      let c, out = Gen_netlist.make ~nodes ~seed in
+      (* a stateful predicate: holds at the [k]-th accepted step *)
+      let k = 1 + (seed mod 19) in
+      let calls = ref 0 in
+      let stop = (out, fun _ _ -> Stdlib.incr calls; !calls = k) in
+      let run ?stop () =
+        Sim.Tran.run ?stop ~proc:P.c06 ~kind:M.Level1 ~tstop:2e-7 ~dt:1e-8 c
+      in
+      match run () with
+      | exception Phys.Numerics.No_convergence _ -> true
+      | full ->
+        let cut = run ~stop () in
+        let prefix a b = Array.for_all2 bits_eq a (Array.sub b 0 (Array.length a)) in
+        Array.length (Sim.Tran.times cut) = k + 1
+        && prefix (Sim.Tran.times cut) (Sim.Tran.times full)
+        && List.for_all
+             (fun i ->
+               let n = Gen_netlist.node i in
+               prefix (Sim.Tran.waveform cut n) (Sim.Tran.waveform full n))
+             (List.init nodes (fun i -> i + 1)))
+
 let edge_cases =
   [
     case "floating node handled by gmin" test_floating_node_gmin;
@@ -605,6 +701,10 @@ let suite =
       case "RC step response" test_rc_step;
       case "capacitor ramp slope" test_cap_ramp_slope;
       case "settling time" test_settling_time;
+      case "value_at equals interp_linear bit for bit"
+        test_value_at_matches_interp;
+      case "transient telemetry: counters, results unchanged"
+        test_tran_telemetry_identity;
     ]
     @ edge_cases
     @ qcheck_cases
@@ -616,4 +716,5 @@ let suite =
           prop_sparse_ac_min_degree_close;
           prop_sparse_tran_bit_identical;
           prop_sparse_tran_min_degree_close;
+          prop_tran_stop_prefix;
         ] )
